@@ -162,14 +162,12 @@ def _arrangements(
     atoms: Iterable[FrozenSegment], mode: str
 ) -> frozenset[ConjunctionWord]:
     ordered = sorted(atoms, key=lambda a: a.sort_key)
-    words = []
-    for size in range(2, len(ordered) + 1):
-        for subset in combinations(ordered, size):
-            if mode == "canonical":
-                words.append(ConjunctionWord(subset))
-            else:
-                words.extend(ConjunctionWord(p) for p in permutations(subset))
-    return frozenset(words)
+    arrange = combinations if mode == "canonical" else permutations
+    return frozenset(
+        ConjunctionWord(conjuncts)
+        for size in range(2, len(ordered) + 1)
+        for conjuncts in arrange(ordered, size)
+    )
 
 
 def decompose(
@@ -188,7 +186,7 @@ def decompose(
     atom_set = word.atoms
     conjunctions = _arrangements(atom_set, mode)
     axiom_set = frozenset(axioms)
-    overlap = axiom_set & (conjunctions | atom_set)
+    overlap = (axiom_set & conjunctions) | (axiom_set & atom_set)
     if overlap:
         raise AxiomCollision(
             f"{len(overlap)} axiom(s) collide with the word's atoms or conjunctions"

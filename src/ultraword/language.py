@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Hashable, Iterable
 
 from .errors import IncomparableMembers, TooFewMembers
@@ -78,6 +79,9 @@ class FrozenSegment:
     ``family`` marks which paradigm produced the segment; segments with
     distinct family markers are never comparable under the induced order.
     Ad hoc segments (family None) share one implicit family.
+
+    The hash covers the fields equality compares; it is computed once, on
+    first use, and left out of pickled state, as string hashes vary by process.
     """
 
     body: Word
@@ -98,6 +102,16 @@ class FrozenSegment:
                 f"naming clause {self.naming_clause!r} does not match the "
                 f"template {expected!r}"
             )
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.body, self.time_id, self.naming_clause, self.mode, self.family))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @property
     def sort_key(self) -> tuple:
@@ -137,7 +151,7 @@ def make_frozen_segment(
     return segment_at(time_id, body, mode=mode, family=(scheme.key, mode))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConjunctionWord:
     """Two or more distinct frozen segments joined by the reserved connective.
 

@@ -64,13 +64,12 @@ class EventSpace:
 
 
 def is_admissible_prefix(seq: PartialSequence, space: EventSpace) -> bool:
-    """Membership in the inductive family, tested by unfolding restrictions."""
-    n = seq.n
-    if n < 1:
-        return False
-    if n == 1:
-        return seq(0) == space.start and seq(1) in space.events
-    return is_admissible_prefix(seq.restrict(n - 1), space) and seq(n) in space.events
+    """Membership in the inductive family, unfolded into one scan: at least two
+    values, the first is the beginning segment, every later one is in range."""
+    values = seq.values
+    return len(values) >= 2 and values[0] == space.start and all(
+        value in space.events for value in values[1:]
+    )
 
 
 def is_paradigm(
@@ -79,17 +78,13 @@ def is_paradigm(
     """Check an infinite-sequence oracle up to a finite horizon.
 
     True when the sequence starts at the beginning segment and every prefix
-    through the horizon is admissible. Nothing is claimed beyond the horizon.
+    through the horizon is admissible, which is one check of the longest
+    prefix. Nothing is claimed beyond the horizon.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     values = tuple(sequence(k) for k in range(horizon + 1))
-    if values[0] != space.start:
-        return False
-    return all(
-        is_admissible_prefix(PartialSequence(values[: k + 1]), space)
-        for k in range(1, horizon + 1)
-    )
+    return is_admissible_prefix(PartialSequence(values), space)
 
 
 @dataclass(frozen=True)

@@ -52,3 +52,47 @@ def random_context(rng: random.Random, max_sentences: int = 5) -> PerceivedConte
     members = sorted(system.language)
     perceived = rng.sample(members, rng.randint(0, len(members)))
     return PerceivedContext(system.language, frozenset(perceived), system)
+
+
+def segments() -> st.SearchStrategy:
+    """Frozen segments varying in every field that equality compares."""
+    return st.builds(
+        seg,
+        small_rationals,
+        body=st.sampled_from(["event", "a b", "pulse"]),
+        mode=st.sampled_from(["description", "instruction"]),
+        family=st.sampled_from([None, ("p", 1), ("p", Fraction(1, 2))]),
+    )
+
+
+def atom_lists(min_size: int = 2, max_size: int = 6) -> st.SearchStrategy:
+    """Lists of distinct segments, the atoms of one conjunction word."""
+    return st.lists(segments(), min_size=min_size, max_size=max_size, unique=True)
+
+
+@st.composite
+def point_tables(draw) -> tuple[int, int, int, dict]:
+    """A full-line window (i_lo, i_hi, j_max) and a point table over it.
+
+    The table's values, read in index order, either rise strictly, rise with
+    one tie, or come in random order (usually with a descent).
+    """
+    i_lo = draw(st.integers(-3, 2))
+    i_hi = draw(st.integers(i_lo, i_lo + 3))
+    j_max = draw(st.integers(0, 3))
+    indices = [(i, j) for i in range(i_lo, i_hi + 1) for j in range(j_max + 1)]
+    times = draw(
+        st.lists(small_rationals, min_size=len(indices), max_size=len(indices), unique=True)
+    )
+    shape = draw(st.sampled_from(["rising", "tie", "shuffled"]))
+    if shape != "shuffled":
+        times.sort()
+    if shape == "tie" and len(times) > 1:
+        k = draw(st.integers(1, len(times) - 1))
+        times[k] = times[k - 1]
+    return i_lo, i_hi, j_max, dict(zip(indices, times))
+
+
+def event_sequences(max_size: int = 12) -> st.SearchStrategy:
+    """Short value sequences over a pool that includes a value outside any range."""
+    return st.lists(st.sampled_from(["F", "d1", "d2", "junk"]), min_size=1, max_size=max_size)

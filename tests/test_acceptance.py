@@ -6,6 +6,7 @@ equality) throughout.
 """
 
 import math
+import os
 import random
 import subprocess
 import sys
@@ -50,6 +51,7 @@ from ultraword import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def ok(number: int, name: str) -> None:
@@ -312,9 +314,13 @@ CLI_INVOCATIONS = [
 
 
 def _invoke(argv: list[str]) -> bytes:
+    # The child runs in the fixtures directory, so it needs an absolute src path.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "ultraword", *argv],
         cwd=FIXTURES,
+        env=env,
         capture_output=True,
         timeout=60,
     )

@@ -6,6 +6,7 @@ import pytest
 from ultraword.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "cli_fixtures.json"
 
 
 def run(capsys, *argv):
@@ -292,3 +293,14 @@ class TestLogging:
         monkeypatch.setenv("ULTRAWORD_LOG", "chatty")
         code, _, _ = run(capsys, "points", "--q", "2", "--K", "1", "--i", "0..0")
         assert code == 0
+
+
+@pytest.mark.parametrize(
+    "entry", json.loads(GOLDEN.read_text("utf-8")), ids=lambda entry: entry["name"]
+)
+def test_golden_stdout_and_exit_code(entry, capsys, monkeypatch):
+    """Each documented command reproduces its frozen stdout byte for byte."""
+    monkeypatch.chdir(FIXTURES)
+    code, out, _ = run(capsys, *entry["argv"])
+    assert code == entry["exit"]
+    assert out.encode("utf-8") == entry["stdout"].encode("utf-8")

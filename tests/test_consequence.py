@@ -40,6 +40,20 @@ def brute_force_conjunctions(atoms, mode):
     return frozenset(words)
 
 
+def arrangements_by_extension(atoms, mode):
+    """Grow repeat-free sequences one atom at a time and keep those of length
+    >= 2, only the ascending ones in canonical mode."""
+    words = set()
+    frontier = [()]
+    while frontier:
+        grown = [seq + (a,) for seq in frontier for a in atoms if a not in seq]
+        if mode == "canonical":
+            grown = [seq for seq in grown if len(seq) < 2 or seq[-2].sort_key < seq[-1].sort_key]
+        words.update(ConjunctionWord(seq) for seq in grown if len(seq) >= 2)
+        frontier = grown
+    return frozenset(words)
+
+
 class TestClosure:
     def test_two_firings(self):
         result = closure(CHAIN, {"a"})
@@ -167,6 +181,14 @@ class TestDecompose:
         stray_word = build_conjunction_word([atoms[0], outside_atom])
         assert not word_closure_contains(word, stray_word, mode=mode)
         assert not word_closure_contains(word, "beta", axioms={"alpha"}, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["canonical", "permutational"])
+    @given(atoms=s.atom_lists(2, 6))
+    def test_matches_arrangements_built_by_extension(self, mode, atoms):
+        word = build_conjunction_word(atoms)
+        parts = decompose(word, mode=mode)
+        assert parts.conjunctions == arrangements_by_extension(atoms, mode)
+        assert parts.atoms == frozenset(atoms)
 
     def test_membership_respects_arrangement_rules(self):
         atoms = [s.seg(k) for k in range(3)]

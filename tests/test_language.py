@@ -1,5 +1,12 @@
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import hypothesis.strategies as hs
 import pytest
@@ -8,6 +15,7 @@ from hypothesis import given
 import strategies as s
 from ultraword import (
     CONNECTIVE,
+    ConjunctionWord,
     DevelopmentalParadigm,
     IncomparableMembers,
     IndexPair,
@@ -24,6 +32,8 @@ from ultraword import (
     paradigm_from_json,
     segment_at,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestNamingClause:
@@ -119,6 +129,65 @@ class TestConjunctionWord:
         a = s.seg(1)
         with pytest.raises(ValueError):
             build_conjunction_word([a, a], preserve_order=True)
+
+
+class TestHashing:
+    @given(segment=s.segments())
+    def test_equal_segments_hash_equal(self, segment):
+        twin = s.seg(segment.time_id, str(segment.body), segment.mode, segment.family)
+        assert twin == segment
+        assert hash(twin) == hash(segment)
+
+    @given(atoms=s.atom_lists(2, 4))
+    def test_equal_words_hash_equal(self, atoms):
+        word = ConjunctionWord(tuple(atoms))
+        twin = ConjunctionWord(tuple(dataclasses.replace(a) for a in atoms))
+        assert twin == word
+        assert hash(twin) == hash(word)
+
+    @given(atoms=s.atom_lists(2, 4))
+    def test_copy_pickle_and_replace_keep_identity(self, atoms):
+        word = ConjunctionWord(tuple(atoms))
+        hash(word)
+        for value in (atoms[0], word):
+            for clone in (
+                copy.copy(value),
+                copy.deepcopy(value),
+                pickle.loads(pickle.dumps(value)),
+                dataclasses.replace(value),
+            ):
+                assert clone == value
+                assert hash(clone) == hash(value)
+
+    def test_replace_rehashes_the_changed_segment(self):
+        segment = s.seg("1/3", "pulse")
+        hash(segment)
+        renamed = dataclasses.replace(segment, body=Word.of("echo"))
+        assert renamed == s.seg("1/3", "echo")
+        assert hash(renamed) == hash(s.seg("1/3", "echo"))
+        assert {renamed} != {segment}
+
+    def test_pickled_segments_rehash_in_another_process(self):
+        atoms = [s.seg(k, f"body{k}", family=("p", k)) for k in range(3)]
+        word = build_conjunction_word(atoms)
+        data = pickle.dumps((frozenset(atoms), word))
+        # String hashes depend on the hash seed, so a hash carried over from
+        # this process would not find equal segments built in the child.
+        child = (
+            "import pickle, sys\n"
+            "from ultraword import build_conjunction_word, segment_at\n"
+            "atoms, word = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = [segment_at(k, f'body{k}', family=('p', k)) for k in range(3)]\n"
+            "print(atoms == frozenset(fresh), word in {build_conjunction_word(fresh)})\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        env["PYTHONHASHSEED"] = "1" if env.get("PYTHONHASHSEED") == "0" else "0"
+        result = subprocess.run(
+            [sys.executable, "-c", child], input=data, env=env, capture_output=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr.decode()
+        assert result.stdout.split() == [b"True", b"True"]
 
 
 class TestOrderedChoice:

@@ -1,8 +1,12 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given
+
+import strategies as s
 
 from ultraword import (
     DevelopmentalParadigm,
@@ -83,6 +87,37 @@ class TestParadigmOracle:
     def test_horizon_must_be_positive(self):
         with pytest.raises(ValueError):
             is_paradigm(lambda k: "F", SPACE, horizon=0)
+
+
+def naive_admissible(values, space):
+    """The inductive definition, unfolded one restriction at a time."""
+    if len(values) < 2:
+        return False
+    if len(values) == 2:
+        return values[0] == space.start and values[1] in space.events
+    return naive_admissible(values[:-1], space) and values[-1] in space.events
+
+
+class TestSingleScan:
+    @given(values=s.event_sequences())
+    def test_prefix_matches_unfolded_induction(self, values):
+        seq = PartialSequence(tuple(values))
+        assert is_admissible_prefix(seq, SPACE) == naive_admissible(values, SPACE)
+
+    @given(values=s.event_sequences().filter(lambda v: len(v) >= 2))
+    def test_paradigm_matches_per_prefix_reference(self, values):
+        horizon = len(values) - 1
+        expected = values[0] == SPACE.start and all(
+            naive_admissible(values[: k + 1], SPACE) for k in range(1, horizon + 1)
+        )
+        assert is_paradigm(lambda k: values[k], SPACE, horizon) == expected
+
+    def test_long_horizon_needs_no_recursion(self):
+        assert sys.getrecursionlimit() < 5000
+        assert is_paradigm(lambda k: "F", SPACE, horizon=5000)
+        late_junk = lambda k: "junk" if k == 5000 else "F"
+        assert not is_paradigm(late_junk, SPACE, horizon=5000)
+        assert is_admissible_prefix(PartialSequence(("F",) * 5001), SPACE)
 
 
 class TestTruncationBounds:

@@ -1,6 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+
+import strategies as s
 
 from ultraword import (
     InadmissibleIndex,
@@ -152,6 +155,39 @@ class TestOrderEmbedding:
 
     def test_single_point_vacuous(self):
         assert verify_order_embedding(scheme(), 0, 0, 0)
+
+
+def all_pairs_embedding(sch, i_lo, i_hi, j_max):
+    """The definition: on every pair of rows, point order matches index order."""
+    rows = sch.window(i_lo, i_hi, j_max)
+    return all(
+        (t_a <= t_b) == (idx_a <= idx_b) for idx_a, t_a in rows for idx_b, t_b in rows
+    )
+
+
+class TestOrderEmbeddingScan:
+    @given(case=s.point_tables())
+    def test_matches_all_pairs_definition(self, case):
+        i_lo, i_hi, j_max, table = case
+        sch = scheme(rule=lambda i, j: table[(i, j)])
+        assert verify_order_embedding(sch, i_lo, i_hi, j_max) == all_pairs_embedding(
+            sch, i_lo, i_hi, j_max
+        )
+
+    def test_tie_across_subintervals_fails(self):
+        tie = scheme(rule=lambda i, j: Fraction(i) + (Fraction(1) if j else 0))
+        assert not all_pairs_embedding(tie, 0, 1, 1)
+        assert not verify_order_embedding(tie, 0, 1, 1)
+
+    def test_descent_within_subinterval_fails(self):
+        descent = scheme(rule=lambda i, j: Fraction(i) + (Fraction(1, 2) if j == 1 else 0))
+        assert not all_pairs_embedding(descent, 0, 1, 2)
+        assert not verify_order_embedding(descent, 0, 1, 2)
+
+    def test_rising_custom_rule_embeds(self):
+        rising = scheme(rule=lambda i, j: Fraction(10 * i + j))
+        assert all_pairs_embedding(rising, -1, 1, 3)
+        assert verify_order_embedding(rising, -1, 1, 3)
 
 
 class TestResidualAndMonotonicity:
