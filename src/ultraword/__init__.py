@@ -43,10 +43,8 @@ from .language import (
     DevelopmentalParadigm,
     FrozenSegment,
     Word,
-    atoms_of,
     build_conjunction_word,
     extract_time_id,
-    make_frozen_segment,
     naming_clause,
     ordered_choice,
     paradigm_from_json,
@@ -88,7 +86,6 @@ from .timeline import (
     IndexPair,
     IntervalKind,
     PartitionScheme,
-    lex_compare,
     verify_order_embedding,
 )
 

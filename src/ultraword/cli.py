@@ -16,7 +16,6 @@ import logging
 import os
 import re
 import sys
-from fractions import Fraction
 
 from .consequence import (
     DEFAULT_SEED,
@@ -143,30 +142,21 @@ def _emit(args: argparse.Namespace, payload: str) -> None:
 
 
 def _build_scheme(args: argparse.Namespace) -> PartitionScheme:
-    q = args.q
-    K = int(_opt(args, "K", 1))
-    if K <= 0:
-        raise UsageFailure(f"--K must be a positive integer, got {K}")
-    if q == 1:
-        m = _opt(args, "m")
-        if m is None:
-            raise UsageFailure("--m is required for interval kind 1")
-        m = int(m)
-        b_raw = _opt(args, "b")
-        b = parse_rational(str(b_raw)) if b_raw is not None else Fraction(m, K)
-        kind = IntervalKind.bounded(b, m)
-    else:
-        kind = IntervalKind(q)
-    return PartitionScheme(K, kind)
+    try:
+        return PartitionScheme.of(
+            args.q, _opt(args, "K", 1), _opt(args, "m"), _opt(args, "b")
+        )
+    except ValueError as exc:
+        raise UsageFailure(str(exc)) from None
 
 
 def _default_i_range(kind: IntervalKind, args: argparse.Namespace) -> tuple[int, int]:
     raw = _opt(args, "i")
     if raw is not None:
         return _as_range(raw)
-    if kind.q == 1:
-        return 0, kind.m
-    raise UsageFailure("--i LO..HI is required for unbounded interval kinds")
+    if kind.lo is None or kind.hi is None:
+        raise UsageFailure("--i LO..HI is required for unbounded interval kinds")
+    return kind.lo, kind.hi
 
 
 def cmd_points(args: argparse.Namespace) -> str:
@@ -206,22 +196,15 @@ def cmd_paradigm(args: argparse.Namespace) -> str:
 
 def _build_bounds(dp, args: argparse.Namespace) -> TruncationBounds:
     kind = dp.scheme.kind
-    m = _opt(args, "m")
-    n = int(_opt(args, "n", 0))
-    p = _opt(args, "p")
-    if kind.q == 1:
-        m = kind.m if m is None else int(m)
-    elif m is None:
-        raise UsageFailure("--m is required for this interval kind")
-    else:
-        m = int(m)
-    if kind.q == 4:
-        if p is None:
-            raise UsageFailure("--p is required for the full-line kind")
-        p = int(p)
-    else:
-        p = None
-    return TruncationBounds(kind, m, n, p, _opt(args, "label"))
+    m, p = _opt(args, "m", kind.m), _opt(args, "p")
+    # --m fills the kind's first unbounded end and --p its second.
+    for flag, value in zip(("--m", "--p")[: (kind.lo, kind.hi).count(None)], (m, p)):
+        if value is None:
+            raise UsageFailure(f"{flag} is required for this interval kind")
+    return TruncationBounds(
+        kind, int(m), int(_opt(args, "n", 0)), None if p is None else int(p),
+        _opt(args, "label"),
+    )
 
 
 def cmd_ultraword(args: argparse.Namespace) -> str:

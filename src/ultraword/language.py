@@ -19,7 +19,7 @@ from typing import Callable, Hashable, Iterable
 
 from .errors import IncomparableMembers, TooFewMembers
 from .numerics import Rational, format_rational, parse_rational
-from .timeline import IndexPair, IntervalKind, PartitionScheme
+from .timeline import IndexPair, PartitionScheme
 
 #: Reserved connective joining conjuncts; may not occur inside a segment body.
 CONNECTIVE = "∧"
@@ -140,17 +140,6 @@ def segment_at(
     return FrozenSegment(body, Fraction(time_id), mode=mode, family=family)
 
 
-def make_frozen_segment(
-    body: str | Word,
-    scheme: PartitionScheme,
-    idx: IndexPair,
-    mode: str = "description",
-) -> FrozenSegment:
-    """Segment named by the scheme's partition point at ``idx``."""
-    time_id = scheme.point(idx)
-    return segment_at(time_id, body, mode=mode, family=(scheme.key, mode))
-
-
 @dataclass(frozen=True, slots=True)
 class ConjunctionWord:
     """Two or more distinct frozen segments joined by the reserved connective.
@@ -214,11 +203,6 @@ def build_conjunction_word(
     return ConjunctionWord(tuple(listed))
 
 
-def atoms_of(word: ConjunctionWord) -> frozenset[FrozenSegment]:
-    """The conjunct set of a conjunction word."""
-    return word.atoms
-
-
 def ordered_choice(segments: Iterable[FrozenSegment]) -> list[FrozenSegment]:
     """Arrange segments of one paradigm in ascending induced order."""
     members = sorted(set(segments), key=lambda c: c.sort_key)
@@ -269,39 +253,28 @@ class DevelopmentalParadigm:
         Custom point rules are validated on the window before any segment is
         produced.
         """
-        rows = self.scheme.window(
-            i_lo, i_hi, j_max, validate=not self.scheme.is_default_rule
-        )
+        family = self.family
         return [
-            (idx, segment_at(t, self.body_fn(idx, t), mode=self.mode, family=self.family))
-            for idx, t in rows
+            (idx, segment_at(t, self.body_fn(idx, t), mode=self.mode, family=family))
+            for idx, t in self.scheme.window(i_lo, i_hi, j_max, validate=True)
         ]
 
 
 def paradigm_from_json(obj: dict) -> DevelopmentalParadigm:
     """Build a paradigm from its JSON description.
 
-    Expected keys: "q" (1..4), "K" (positive int), for q=1 "m" and optionally
-    "b" (defaults to m/K), optional "mode", optional "bodies" (a template
-    string with {i}, {j}, {t} placeholders, or a list of literal bodies cycled
-    over the within-subinterval index j).
+    Expected keys: "q" (1..4), "K" (positive int), for q=1 only "m" (positive
+    int) and optionally "b" (defaults to m/K), optional "mode", optional
+    "bodies" (a template string with {i}, {j}, {t} placeholders, or a list of
+    literal bodies cycled over the within-subinterval index j).
     """
     if not isinstance(obj, dict):
         raise ValueError("paradigm spec must be a JSON object")
     try:
-        q = int(obj["q"])
-        K = int(obj["K"])
+        q, K = obj["q"], obj["K"]
     except KeyError as missing:
         raise ValueError(f"paradigm spec is missing {missing}") from None
-    if q == 1:
-        m = int(obj["m"]) if "m" in obj else None
-        if m is None:
-            raise ValueError("paradigm spec with q=1 needs m")
-        b = parse_rational(str(obj["b"])) if "b" in obj else Fraction(m, K)
-        kind = IntervalKind.bounded(b, m)
-    else:
-        kind = IntervalKind(q)
-    scheme = PartitionScheme(K, kind)
+    scheme = PartitionScheme.of(q, K, obj.get("m"), obj.get("b"))
     mode = str(obj.get("mode", "description"))
     bodies = obj.get("bodies", "event")
     if isinstance(bodies, str):

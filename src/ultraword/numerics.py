@@ -21,10 +21,6 @@ from .errors import UnknownLabel
 
 Rational = Fraction
 
-#: Dividing by an exact zero raises the built-in exception; re-exported so the
-#: contract surface has a single name for it.
-DivisionByZero = ZeroDivisionError
-
 _RATIONAL_RE = re.compile(r"\A[+-]?\d+(?:/\d+)?\Z")
 
 RationalLike = Union[Rational, int]

@@ -3,10 +3,10 @@ paradigm, together with the conjunction words that entail them.
 
 The admissible-prefix family is built by induction: a sequence on [0, 1] is
 admissible when it starts at the distinguished beginning segment and its
-second value lies in the declared range; longer sequences are admissible when
-their one-step restriction is and the new value lies in the range. A window
-selects the finitely many segments of a paradigm below given index bounds;
-its conjunction word is the finite stand-in for the word whose consequence
+second value lies in the declared range; a longer sequence is admissible when
+it extends an admissible one by a value in the range. A window selects the
+finitely many segments of a paradigm below given index bounds; its
+conjunction word is the finite stand-in for the word whose consequence
 closure recovers the whole window.
 """
 
@@ -31,17 +31,6 @@ class PartialSequence:
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise ValueError("a partial sequence needs at least the value at 0")
-
-    @property
-    def n(self) -> int:
-        return len(self.values) - 1
-
-    def __call__(self, k: int) -> object:
-        return self.values[k]
-
-    def restrict(self, k: int) -> PartialSequence:
-        """Restriction to [0, k]."""
-        return PartialSequence(self.values[: k + 1])
 
 
 @dataclass(frozen=True)
@@ -91,11 +80,16 @@ def is_paradigm(
 class TruncationBounds:
     """Finite index bounds selecting a window of a paradigm.
 
-    ``m`` bounds the subinterval index (for the bounded kind it must equal the
-    kind's subinterval count; for the nonpositive kind it is the least index),
-    ``p`` the upper subinterval index (full-line kind only), and ``n`` the
-    within-subinterval index. ``label`` optionally names the infinite index
-    the window stands in for; it is display metadata only and never iterated.
+    The window's subinterval range ``i_range`` is the kind's own ends where
+    they are finite, with ``m`` and then ``p`` filling the unbounded ends:
+    (0, kind.m) for the bounded kind, (0, m) for the nonnegative kind, (m, 0)
+    for the nonpositive kind and (m, p) for the full line. ``n`` bounds the
+    within-subinterval index, except at the kind's closed endpoint, which
+    keeps only j = 0. The bounds are valid when n >= 0, the bounded kind's m
+    equals its subinterval count, p is given exactly for the full line, and
+    i_range runs from at most 0 to at least 0. ``label`` optionally names the
+    infinite index the window stands in for; it is display metadata only and
+    never iterated.
     """
 
     kind: IntervalKind
@@ -107,82 +101,65 @@ class TruncationBounds:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise InadmissibleIndex(f"n must be a natural number, got {self.n}")
-        q = self.kind.q
-        if q == 1:
-            if self.m != self.kind.m:
-                raise InadmissibleIndex(
-                    f"bounded kind fixes m = {self.kind.m}, got {self.m}"
-                )
-            if self.p is not None:
-                raise InadmissibleIndex("p applies only to the full-line kind")
-        elif q == 2:
-            if self.m < 0:
-                raise InadmissibleIndex(f"kind 2 needs m >= 0, got {self.m}")
-            if self.p is not None:
-                raise InadmissibleIndex("p applies only to the full-line kind")
-        elif q == 3:
-            if self.m > 0:
-                raise InadmissibleIndex(f"kind 3 needs m <= 0, got {self.m}")
-            if self.p is not None:
-                raise InadmissibleIndex("p applies only to the full-line kind")
-        else:
-            if self.p is None:
-                raise InadmissibleIndex("full-line kind needs p")
-            if not (self.m <= 0 <= self.p):
-                raise InadmissibleIndex(
-                    f"full-line kind needs m <= 0 <= p, got m={self.m}, p={self.p}"
-                )
+        if self.kind.m is not None and self.m != self.kind.m:
+            raise InadmissibleIndex(
+                f"bounded kind fixes m = {self.kind.m}, got {self.m}"
+            )
+        full_line = self.kind.lo is None and self.kind.hi is None
+        if (self.p is not None) != full_line:
+            raise InadmissibleIndex(
+                "full-line kind needs p" if full_line
+                else "p applies only to the full-line kind"
+            )
+        i_lo, i_hi = self.i_range
+        if not i_lo <= 0 <= i_hi:
+            raise InadmissibleIndex(
+                f"interval kind {self.kind.q} bounds give i range {i_lo}..{i_hi}, "
+                "which must hold 0"
+            )
+
+    @property
+    def i_range(self) -> tuple[int, int]:
+        """(i_lo, i_hi): the kind's finite ends, m and then p filling the rest."""
+        lo, hi = self.kind.lo, self.kind.hi
+        if lo is None:
+            return self.m, self.p if hi is None else hi
+        return lo, self.m if hi is None else hi
 
 
 def window_indices(bounds: TruncationBounds) -> list[IndexPair]:
-    """The window's index set, in lexicographic order.
-
-    Closed endpoints (i = m for the bounded kind, i = 0 for the nonpositive
-    kind) contribute only their single j = 0 index; for the full-line kind
-    the subinterval i = 0 is shared by both halves.
-    """
-    q = bounds.kind.q
-    js = range(bounds.n + 1)
-    if q == 1:
-        pairs = [(i, j) for i in range(bounds.m) for j in js] + [(bounds.m, 0)]
-    elif q == 2:
-        pairs = [(i, j) for i in range(bounds.m + 1) for j in js]
-    elif q == 3:
-        pairs = [(i, j) for i in range(bounds.m, 0) for j in js] + [(0, 0)]
-    else:
-        low = [(i, j) for i in range(bounds.m, 1) for j in js]
-        high = [(k, j) for k in range(bounds.p + 1) for j in js]
-        pairs = sorted(set(low) | set(high))
-    return [IndexPair(i, j) for i, j in pairs]
+    """The window's index set, in lexicographic order."""
+    return bounds.kind.indices(*bounds.i_range, bounds.n)
 
 
-def _check_kind(dp: DevelopmentalParadigm, bounds: TruncationBounds) -> None:
+def _window(
+    dp: DevelopmentalParadigm, bounds: TruncationBounds
+) -> list[tuple[IndexPair, FrozenSegment]]:
     if dp.scheme.kind != bounds.kind:
         raise InadmissibleIndex(
             f"bounds are for interval kind {bounds.kind.q}, paradigm uses "
             f"kind {dp.scheme.kind.q}"
         )
+    return dp.window(*bounds.i_range, bounds.n)
 
 
 def segment_window(
     dp: DevelopmentalParadigm, bounds: TruncationBounds
 ) -> frozenset[FrozenSegment]:
     """The finite set of paradigm segments selected by the bounds."""
-    _check_kind(dp, bounds)
-    return frozenset(dp.segment(idx) for idx in window_indices(bounds))
+    return frozenset(segment for _, segment in _window(dp, bounds))
 
 
 def window_rows(dp: DevelopmentalParadigm, bounds: TruncationBounds) -> list[dict]:
     """JSON-ready rows {i, j, t, clause} for the window, in index order."""
-    _check_kind(dp, bounds)
     return [
         {
             "i": idx.i,
             "j": idx.j,
-            "t": format_rational(dp.scheme.point(idx)),
-            "clause": dp.segment(idx).naming_clause,
+            "t": format_rational(segment.time_id),
+            "clause": segment.naming_clause,
         }
-        for idx in window_indices(bounds)
+        for idx, segment in _window(dp, bounds)
     ]
 
 

@@ -13,13 +13,13 @@ exactly with the lexicographic order of the indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
 from typing import Callable, Hashable
 
 from .errors import InadmissibleIndex
-from .numerics import Rational
+from .numerics import Rational, parse_rational
 
 PointRule = Callable[[int, int], Rational]
 
@@ -44,23 +44,27 @@ class IndexPair:
         return self.key < other.key
 
 
-def lex_compare(a: IndexPair, b: IndexPair) -> int:
-    """-1, 0, or +1 under the lexicographic order (i first, then j)."""
-    return (a.key > b.key) - (a.key < b.key)
-
-
 @dataclass(frozen=True)
 class IntervalKind:
-    """One of the four primitive-time interval shapes.
+    """One of the four primitive-time interval shapes, and the owner of the
+    index rule every window, bound and CLI default derives from.
 
     q=1 is [0, b] split into m subintervals (so b must equal m/K for the
-    scheme's K); q=2 is [0, +inf); q=3 is (-inf, 0] with the closed right
-    endpoint carried by the single index (0, 0); q=4 is the full line.
+    scheme's K); q=2 is [0, +inf); q=3 is (-inf, 0]; q=4 is the full line.
+
+    ``lo`` and ``hi`` are the least and greatest admissible subinterval index,
+    None where the kind is unbounded: (0, m), (0, None), (None, 0) and
+    (None, None). A kind bounded above is closed there, so its greatest
+    subinterval is also ``closed`` (m for q=1, 0 for q=3, otherwise None):
+    the closed endpoint carries the single index (closed, 0).
     """
 
     q: int
     b: Rational | None = None
     m: int | None = None
+    lo: int | None = field(init=False, repr=False, compare=False)
+    hi: int | None = field(init=False, repr=False, compare=False)
+    closed: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.q not in (1, 2, 3, 4):
@@ -75,6 +79,41 @@ class IntervalKind:
                 raise ValueError(f"m must be positive, got {self.m}")
         elif self.b is not None or self.m is not None:
             raise ValueError("b and m apply only to the bounded kind (q=1)")
+        lo, hi = {1: (0, self.m), 2: (0, None), 3: (None, 0), 4: (None, None)}[self.q]
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "closed", hi)
+
+    def admissible(self, idx: IndexPair) -> bool:
+        """Whether idx lies within the ends, j = 0 only at the closed endpoint."""
+        i = idx.i
+        return (
+            (self.lo is None or self.lo <= i)
+            and (self.hi is None or i <= self.hi)
+            and (i != self.closed or idx.j == 0)
+        )
+
+    def indices(self, i_lo: int, i_hi: int, j_max: int) -> list[IndexPair]:
+        """Every admissible index of the rectangle i_lo..i_hi x 0..j_max, in
+        lexicographic order; the closed endpoint gives only its j = 0 index.
+
+        Raises InadmissibleIndex when the rectangle is empty or leaves the kind.
+        """
+        if i_lo > i_hi:
+            raise InadmissibleIndex(f"empty index range {i_lo}..{i_hi}")
+        if j_max < 0:
+            raise InadmissibleIndex(f"j_max must be a natural number, got {j_max}")
+        if (self.lo is not None and i_lo < self.lo) or (
+            self.hi is not None and i_hi > self.hi
+        ):
+            raise InadmissibleIndex(
+                f"i range {i_lo}..{i_hi} outside interval kind {self.q}"
+            )
+        return [
+            IndexPair(i, j)
+            for i in range(i_lo, i_hi + 1)
+            for j in range(1 if i == self.closed else j_max + 1)
+        ]
 
     @classmethod
     def bounded(cls, b: Rational, m: int) -> IntervalKind:
@@ -110,11 +149,27 @@ class PartitionScheme:
     def __post_init__(self) -> None:
         if self.K <= 0:
             raise ValueError(f"K must be a positive integer, got {self.K}")
-        if self.kind.q == 1 and self.kind.b != Fraction(self.kind.m, self.K):
+        if self.kind.b is not None and self.kind.b != Fraction(self.kind.m, self.K):
             raise ValueError(
                 f"bounded kind needs b = m/K; got b={self.kind.b}, m/K="
                 f"{Fraction(self.kind.m, self.K)}"
             )
+
+    @classmethod
+    def of(cls, q: int, K: int, m: int | None = None, b=None) -> PartitionScheme:
+        """The default-rule scheme for raw (q, K, m, b) values, as read from a
+        file or flags. q, K and m must be ints; b is a rational or its text and
+        defaults to m/K. Values the kind does not use are rejected."""
+        for name, value in (("q", q), ("K", K), ("m", m)):
+            if type(value) is not int and (name != "m" or value is not None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if K <= 0:
+            raise ValueError(f"K must be a positive integer, got {K}")
+        if b is not None:
+            b = parse_rational(str(b))
+        elif m is not None:
+            b = Fraction(m, K)
+        return cls(K, IntervalKind(q, b, m))
 
     @property
     def is_default_rule(self) -> bool:
@@ -135,17 +190,10 @@ class PartitionScheme:
         return Fraction((i + 1) * 2**j - 1, self.K * 2**j)
 
     def admissible(self, idx: IndexPair) -> bool:
-        q = self.kind.q
-        if q == 1:
-            return 0 <= idx.i <= self.kind.m and (idx.i < self.kind.m or idx.j == 0)
-        if q == 2:
-            return idx.i >= 0
-        if q == 3:
-            return idx.i <= 0 and (idx.i < 0 or idx.j == 0)
-        return True
+        return self.kind.admissible(idx)
 
     def require(self, idx: IndexPair) -> None:
-        if not self.admissible(idx):
+        if not self.kind.admissible(idx):
             raise InadmissibleIndex(
                 f"index ({idx.i},{idx.j}) is outside interval kind {self.kind.q}"
             )
@@ -158,31 +206,12 @@ class PartitionScheme:
     def window(
         self, i_lo: int, i_hi: int, j_max: int, *, validate: bool = False
     ) -> list[tuple[IndexPair, Rational]]:
-        """All admissible (index, point) pairs in the rectangle, in lex order.
-
-        Closed-endpoint subintervals (i = m for q=1, i = 0 for q=3)
-        contribute only their j = 0 index.
-        """
-        if i_lo > i_hi:
-            raise InadmissibleIndex(f"empty index range {i_lo}..{i_hi}")
-        if j_max < 0:
-            raise InadmissibleIndex(f"j_max must be a natural number, got {j_max}")
-        q = self.kind.q
-        if q == 1 and (i_lo < 0 or i_hi > self.kind.m):
-            raise InadmissibleIndex(
-                f"i range {i_lo}..{i_hi} outside 0..{self.kind.m} for kind 1"
-            )
-        if q == 2 and i_lo < 0:
-            raise InadmissibleIndex(f"i range {i_lo}..{i_hi} outside kind 2")
-        if q == 3 and i_hi > 0:
-            raise InadmissibleIndex(f"i range {i_lo}..{i_hi} outside kind 3")
-        rows: list[tuple[IndexPair, Rational]] = []
-        for i in range(i_lo, i_hi + 1):
-            for j in range(j_max + 1):
-                idx = IndexPair(i, j)
-                if not self.admissible(idx):
-                    continue
-                rows.append((idx, self._rule(i, j)))
+        """All admissible (index, point) pairs in the rectangle, in lex order,
+        over the kind's ``indices``."""
+        rows = [
+            (idx, self._rule(idx.i, idx.j))
+            for idx in self.kind.indices(i_lo, i_hi, j_max)
+        ]
         if validate and not self.is_default_rule:
             self._validate_rows(rows)
         return rows
@@ -202,10 +231,7 @@ class PartitionScheme:
                     raise ValueError(
                         f"point rule is not strictly increasing in subinterval {i}"
                     )
-            is_endpoint = (self.kind.q == 1 and i == self.kind.m) or (
-                self.kind.q == 3 and i == 0
-            )
-            if not is_endpoint:
+            if i != self.kind.closed:
                 ceiling = self.c(i + 1)
                 for _, t in points:
                     if t >= ceiling:

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from ultraword import EpsilonSeries, LogicSystem, PerceivedContext, segment_at
+from ultraword import (
+    EpsilonSeries,
+    LogicSystem,
+    PartitionScheme,
+    PerceivedContext,
+    segment_at,
+)
 
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=64)
 
@@ -96,3 +102,20 @@ def point_tables(draw) -> tuple[int, int, int, dict]:
 def event_sequences(max_size: int = 12) -> st.SearchStrategy:
     """Short value sequences over a pool that includes a value outside any range."""
     return st.lists(st.sampled_from(["F", "d1", "d2", "junk"]), min_size=1, max_size=max_size)
+
+
+@st.composite
+def schemes(draw) -> PartitionScheme:
+    """Default-rule schemes over all four interval kinds; the bounded kind has
+    one to four subintervals."""
+    q = draw(st.integers(1, 4))
+    K = draw(st.integers(1, 3))
+    return PartitionScheme.of(q, K, draw(st.integers(1, 4)) if q == 1 else None)
+
+
+@st.composite
+def rectangles(draw) -> tuple[int, int, int]:
+    """(i_lo, i_hi, j_max) around 0, sometimes empty, with a negative j_max, or
+    reaching past a kind's ends."""
+    i_lo = draw(st.integers(-5, 5))
+    return i_lo, i_lo + draw(st.integers(-1, 4)), draw(st.integers(-1, 3))

@@ -130,6 +130,35 @@ class TestParadigmCommands:
         assert "--p" in err
 
 
+class TestStrictInputs:
+    def test_fractional_k_in_spec_is_parse_error(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"q": 2, "K": 2.7}')
+        code, out, err = run(capsys, "paradigm", "--spec", spec, "--i", "0..0")
+        assert code == 3
+        assert out == ""
+        assert "K" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--spec", FIXTURES / "paradigm_q1.json", "--p", "1"],
+            ["--spec", FIXTURES / "paradigm_q2.json", "--m", "1", "--p", "1"],
+        ],
+    )
+    def test_p_outside_full_line_is_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, "ultraword", *argv)
+        assert code == 4
+        assert out == ""
+        assert "full-line" in err
+
+    def test_m_on_unbounded_points_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "points", "--q", "2", "--m", "3", "--i", "0..0")
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err
+
+
 class TestClosureCommand:
     def test_worked_example(self, capsys):
         code, out, _ = run(

@@ -23,10 +23,8 @@ from ultraword import (
     PartitionScheme,
     TooFewMembers,
     Word,
-    atoms_of,
     build_conjunction_word,
     extract_time_id,
-    make_frozen_segment,
     naming_clause,
     ordered_choice,
     paradigm_from_json,
@@ -36,26 +34,24 @@ from ultraword import (
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def scheme_segment(K, kind, idx, mode="description"):
+    """The segment a paradigm over PartitionScheme(K, kind) names at idx."""
+    return DevelopmentalParadigm(PartitionScheme(K, kind), mode=mode).segment(idx)
+
+
 class TestNamingClause:
     def test_description_at_zero(self):
-        seg = make_frozen_segment(
-            "x", PartitionScheme(1, IntervalKind.full_line()), IndexPair(0, 0)
-        )
+        seg = scheme_segment(1, IntervalKind.full_line(), IndexPair(0, 0))
         assert seg.naming_clause == "This description is named ⌈0⌉."
 
     def test_instruction_with_formula_value(self):
-        seg = make_frozen_segment(
-            "x",
-            PartitionScheme(2, IntervalKind.nonnegative()),
-            IndexPair(3, 2),
-            mode="instruction",
+        seg = scheme_segment(
+            2, IntervalKind.nonnegative(), IndexPair(3, 2), mode="instruction"
         )
         assert seg.naming_clause == "This instruction is named ⌈15/8⌉."
 
     def test_round_trip(self):
-        seg = make_frozen_segment(
-            "x y z", PartitionScheme(3, IntervalKind.full_line()), IndexPair(-1, 2)
-        )
+        seg = scheme_segment(3, IntervalKind.full_line(), IndexPair(-1, 2))
         assert extract_time_id(seg.naming_clause) == seg.time_id == Fraction(-1, 12)
 
     def test_extract_rejects_other_text(self):
@@ -106,11 +102,11 @@ class TestConjunctionWord:
 
     def test_atoms_inverse_of_build(self):
         members = {s.seg(0), s.seg(1), s.seg(2)}
-        assert atoms_of(build_conjunction_word(members)) == frozenset(members)
+        assert build_conjunction_word(members).atoms == frozenset(members)
 
     def test_atoms_of_pair(self):
         a, b = s.seg(1), s.seg(2)
-        assert atoms_of(build_conjunction_word([a, b])) == {a, b}
+        assert build_conjunction_word([a, b]).atoms == {a, b}
 
     def test_input_permutation_gives_same_word(self):
         members = [s.seg(3), s.seg(1), s.seg(2)]
@@ -203,12 +199,8 @@ class TestOrderedChoice:
         assert ordered_choice(set()) == []
 
     def test_cross_paradigm_members_rejected(self):
-        one = make_frozen_segment(
-            "x", PartitionScheme(1, IntervalKind.nonnegative()), IndexPair(0, 0)
-        )
-        other = make_frozen_segment(
-            "x", PartitionScheme(2, IntervalKind.nonnegative()), IndexPair(0, 0)
-        )
+        one = scheme_segment(1, IntervalKind.nonnegative(), IndexPair(0, 0))
+        other = scheme_segment(2, IntervalKind.nonnegative(), IndexPair(0, 0))
         with pytest.raises(IncomparableMembers):
             ordered_choice({one, other})
 
@@ -288,6 +280,12 @@ class TestParadigmFromJson:
             {"q": 2, "K": 1, "bodies": 7},
             {"q": 2, "K": 1, "bodies": []},
             "not an object",
+            {"q": 2, "K": 2.7},
+            {"q": 2, "K": True},
+            {"q": "2", "K": 1},
+            {"q": 1, "K": 1, "m": 2.0},
+            {"q": 2, "K": 1, "m": 2},
+            {"q": 3, "K": 1, "b": "1"},
         ],
     )
     def test_bad_specs_rejected(self, spec):

@@ -4,7 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+import hypothesis.strategies as hs
+from hypothesis import assume, given
 
 import strategies as s
 
@@ -151,6 +152,50 @@ class TestTruncationBounds:
     def test_negative_n_rejected(self):
         with pytest.raises(InadmissibleIndex):
             TruncationBounds(IntervalKind.nonnegative(), 0, -1)
+
+
+def definition_i_range(kind, m, p):
+    """The subinterval range each kind's bounds stand for, per the docstring."""
+    return {1: (0, kind.m), 2: (0, m), 3: (m, 0), 4: (m, p)}[kind.q]
+
+
+def bounds_valid(kind, m, n, p):
+    """The per-kind rules of TruncationBounds, written out by kind."""
+    if n < 0 or (p is not None) != (kind.q == 4):
+        return False
+    if kind.q == 1 and m != kind.m:
+        return False
+    i_lo, i_hi = definition_i_range(kind, m, p)
+    return i_lo <= 0 <= i_hi
+
+
+bound_values = dict(
+    m=hs.integers(-4, 5), n=hs.integers(-1, 3), p=hs.none() | hs.integers(-2, 4)
+)
+
+
+class TestBoundsModel:
+    @given(sch=s.schemes(), **bound_values)
+    def test_accepts_exactly_the_documented_rules(self, sch, m, n, p):
+        if bounds_valid(sch.kind, m, n, p):
+            bounds = TruncationBounds(sch.kind, m, n, p)
+            assert bounds.i_range == definition_i_range(sch.kind, m, p)
+        else:
+            with pytest.raises(InadmissibleIndex):
+                TruncationBounds(sch.kind, m, n, p)
+
+    @given(sch=s.schemes(), **bound_values)
+    def test_window_indices_are_the_rectangle_over_i_range(self, sch, m, n, p):
+        assume(bounds_valid(sch.kind, m, n, p))
+        bounds = TruncationBounds(sch.kind, m, n, p)
+        i_lo, i_hi = definition_i_range(sch.kind, m, p)
+        closed = {1: sch.kind.m, 3: 0}.get(sch.kind.q)
+        assert window_indices(bounds) == [
+            IndexPair(i, j)
+            for i in range(i_lo, i_hi + 1)
+            for j in range(n + 1)
+            if i != closed or j == 0
+        ]
 
 
 class TestWindowIndices:

@@ -10,7 +10,6 @@ from ultraword import (
     IndexPair,
     IntervalKind,
     PartitionScheme,
-    lex_compare,
     verify_order_embedding,
 )
 
@@ -23,13 +22,14 @@ def scheme(K=1, kind=FULL, rule=None):
 
 class TestLexOrder:
     def test_smaller_i_wins(self):
-        assert lex_compare(IndexPair(-1, 5), IndexPair(0, 0)) == -1
+        assert IndexPair(-1, 5) < IndexPair(0, 0)
 
     def test_same_i_compares_j(self):
-        assert lex_compare(IndexPair(2, 3), IndexPair(2, 7)) == -1
+        assert IndexPair(2, 3) < IndexPair(2, 7)
 
     def test_equality(self):
-        assert lex_compare(IndexPair(4, 1), IndexPair(4, 1)) == 0
+        a, b = IndexPair(4, 1), IndexPair(4, 1)
+        assert a == b and not a < b and not b < a
 
     def test_negative_j_rejected(self):
         with pytest.raises(ValueError):
@@ -41,8 +41,9 @@ class TestLexOrder:
         rank = {p: k for k, p in enumerate(ranked)}
         for a in pairs:
             for b in pairs:
-                expected = (rank[a] > rank[b]) - (rank[a] < rank[b])
-                assert lex_compare(a, b) == expected
+                assert (a < b, a == b, a > b) == (
+                    rank[a] < rank[b], rank[a] == rank[b], rank[a] > rank[b]
+                )
 
     def test_transitivity_directly(self):
         pairs = [IndexPair(i, j) for i in range(-2, 3) for j in range(3)]
@@ -143,6 +144,65 @@ class TestWindow:
     def test_out_of_kind_range_rejected(self):
         with pytest.raises(InadmissibleIndex):
             scheme(kind=IntervalKind.nonnegative()).window(-1, 1, 0)
+
+
+# Each kind's least and greatest subinterval and its closed endpoint, read off
+# its interval shape: [0, b] closed at m, [0, +inf), (-inf, 0] closed at 0,
+# and the full line.
+SHAPES = {
+    1: lambda m: (0, m, m),
+    2: lambda m: (0, None, None),
+    3: lambda m: (None, 0, 0),
+    4: lambda m: (None, None, None),
+}
+
+
+def inside(kind, i):
+    lo, hi, _ = SHAPES[kind.q](kind.m)
+    return (lo is None or lo <= i) and (hi is None or i <= hi)
+
+
+def definition_admits(kind, i, j):
+    """Inside the kind's ends, with only j = 0 at its closed endpoint."""
+    return inside(kind, i) and (i != SHAPES[kind.q](kind.m)[2] or j == 0)
+
+
+def definition_window(kind, i_lo, i_hi, j_max):
+    """The rectangle's indices inside the kind, or None when it leaves the kind."""
+    if i_lo > i_hi or j_max < 0 or not (inside(kind, i_lo) and inside(kind, i_hi)):
+        return None
+    return [
+        IndexPair(i, j)
+        for i in range(i_lo, i_hi + 1)
+        for j in range(j_max + 1)
+        if definition_admits(kind, i, j)
+    ]
+
+
+class TestIndexModel:
+    def test_ends_per_kind(self):
+        for kind in (IntervalKind.bounded(3, 3), IntervalKind(2), IntervalKind(3), FULL):
+            lo, hi, closed = SHAPES[kind.q](kind.m)
+            assert (kind.lo, kind.hi, kind.closed) == (lo, hi, closed)
+
+    @given(sch=s.schemes(), rect=s.rectangles())
+    def test_indices_and_window_follow_definition(self, sch, rect):
+        expected = definition_window(sch.kind, *rect)
+        if expected is None:
+            with pytest.raises(InadmissibleIndex):
+                sch.kind.indices(*rect)
+            with pytest.raises(InadmissibleIndex):
+                sch.window(*rect)
+            return
+        assert sch.kind.indices(*rect) == expected
+        assert sch.window(*rect) == [(idx, sch.point(idx)) for idx in expected]
+
+    @given(sch=s.schemes(), rect=s.rectangles())
+    def test_admissible_matches_definition(self, sch, rect):
+        i_lo, i_hi, j_max = rect
+        for i in range(i_lo, i_hi + 1):
+            for j in range(max(j_max, 0) + 1):
+                assert sch.admissible(IndexPair(i, j)) == definition_admits(sch.kind, i, j)
 
 
 class TestOrderEmbedding:
