@@ -22,6 +22,7 @@ from .errors import (
     InadmissibleIndex,
     IncomparableMembers,
     NotPerceived,
+    SizeLimit,
     TagCollision,
     TooFewMembers,
     UnknownLabel,

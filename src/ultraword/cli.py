@@ -115,6 +115,24 @@ def _opt(args: argparse.Namespace, name: str, default=None):
     return default
 
 
+def _int_opt(args: argparse.Namespace, name: str, check=int, default=None):
+    """An integer option. A config value must be a JSON integer and passes
+    the flag's own validator, so it is never truncated or coerced."""
+    value = getattr(args, name, None)
+    if value is not None:
+        return value
+    config = getattr(args, "_config", None) or {}
+    if name not in config:
+        return default
+    value = config[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageFailure(f"config {name!r} must be an integer, got {value!r}")
+    try:
+        return check(str(value))
+    except argparse.ArgumentTypeError as exc:
+        raise UsageFailure(f"config {name!r} {exc}") from None
+
+
 def _load_json(path: str):
     log.debug("loading %s", path)
     with open(path, encoding="utf-8") as handle:
@@ -162,7 +180,7 @@ def _default_i_range(kind: IntervalKind, args: argparse.Namespace) -> tuple[int,
 def cmd_points(args: argparse.Namespace) -> str:
     scheme = _build_scheme(args)
     i_lo, i_hi = _default_i_range(scheme.kind, args)
-    j_max = int(_opt(args, "j_max", 0))
+    j_max = _int_opt(args, "j_max", _natural_int, 0)
     rows = scheme.window(i_lo, i_hi, j_max)
     fmt = _opt(args, "format", "json")
     if fmt == "csv":
@@ -180,7 +198,7 @@ def cmd_points(args: argparse.Namespace) -> str:
 def cmd_paradigm(args: argparse.Namespace) -> str:
     dp = _interpret(paradigm_from_json, _load_json(args.spec), args.spec)
     i_lo, i_hi = _default_i_range(dp.scheme.kind, args)
-    j_max = int(_opt(args, "j_max", 0))
+    j_max = _int_opt(args, "j_max", _natural_int, 0)
     listing = [
         {
             "i": idx.i,
@@ -196,14 +214,13 @@ def cmd_paradigm(args: argparse.Namespace) -> str:
 
 def _build_bounds(dp, args: argparse.Namespace) -> TruncationBounds:
     kind = dp.scheme.kind
-    m, p = _opt(args, "m", kind.m), _opt(args, "p")
+    m, p = _int_opt(args, "m", default=kind.m), _int_opt(args, "p")
     # --m fills the kind's first unbounded end and --p its second.
     for flag, value in zip(("--m", "--p")[: (kind.lo, kind.hi).count(None)], (m, p)):
         if value is None:
             raise UsageFailure(f"{flag} is required for this interval kind")
     return TruncationBounds(
-        kind, int(m), int(_opt(args, "n", 0)), None if p is None else int(p),
-        _opt(args, "label"),
+        kind, m, _int_opt(args, "n", _natural_int, 0), p, _opt(args, "label")
     )
 
 
@@ -305,8 +322,8 @@ def cmd_st(args: argparse.Namespace) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> str:
-    samples = int(_opt(args, "samples", 200))
-    seed = int(_opt(args, "seed", DEFAULT_SEED))
+    samples = _int_opt(args, "samples", _positive_int, 200)
+    seed = _int_opt(args, "seed", default=DEFAULT_SEED)
     if args.rules:
         system = _interpret(LogicSystem.from_json, _load_json(args.rules), args.rules)
         operator = lambda X: closure(system, X).closure  # noqa: E731

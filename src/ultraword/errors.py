@@ -43,3 +43,7 @@ class TagCollision(DomainError):
 
 class Unlimited(DomainError):
     """A value with a negative infinitesimal exponent has no standard part."""
+
+
+class SizeLimit(DomainError, ValueError):
+    """An exponential operation was asked for more than its documented size."""

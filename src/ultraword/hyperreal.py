@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import Unlimited
-from .numerics import EpsilonSeries, HyperNatural, Inf, Rational, Std
+from .numerics import EpsilonSeries, HyperNatural, Inf, Rational, Std, parse_rational
 
 
 def st_point(x: EpsilonSeries) -> Rational:
@@ -161,8 +161,12 @@ def _hypernatural_to_json(value: HyperNatural) -> object:
 
 
 def _series_from_json(value: object) -> EpsilonSeries:
-    if isinstance(value, (int, str)):
-        return EpsilonSeries.from_rational(Fraction(str(value)))
+    if isinstance(value, bool):
+        raise ValueError(f"not an epsilon series: {value!r}")
+    if isinstance(value, int):
+        return EpsilonSeries.from_rational(value)
+    if isinstance(value, str):
+        return EpsilonSeries.from_rational(parse_rational(value))
     if isinstance(value, list):
         return EpsilonSeries.from_pairs(value)
     raise ValueError(f"not an epsilon series: {value!r}")

@@ -16,7 +16,10 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .consequence import LogicSystem, Rule, closure
-from .errors import EmptySource, NotPerceived, TagCollision, UnknownSentence
+from .errors import EmptySource, NotPerceived, SizeLimit, TagCollision, UnknownSentence
+
+_CHECK_LIMIT = 12
+_SIGNATURE_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,10 @@ class TheorySignature:
 
 
 def theory_signature(ctx: PerceivedContext) -> TheorySignature:
+    if len(ctx.perceived) > _SIGNATURE_LIMIT:
+        raise SizeLimit(
+            f"theory signature is limited to {_SIGNATURE_LIMIT} perceived sentences"
+        )
     members = sorted(ctx.perceived)
     collected: set[tuple[str, ...]] = set()
     for size in range(1, len(members) + 1):
@@ -147,23 +154,55 @@ def signature_operator_check(
     perceived closure on every subset of the perceived set.
 
     A replacement signature may be supplied to test for mismatches against a
-    deliberately altered rule set.
+    deliberately altered rule set. Raises ``SizeLimit`` above 12 perceived
+    sentences.
     """
-    if len(ctx.perceived) > 12:
-        raise ValueError("exhaustive check is limited to 12 perceived sentences")
+    if len(ctx.perceived) > _CHECK_LIMIT:
+        raise SizeLimit(
+            f"exhaustive check is limited to {_CHECK_LIMIT} perceived sentences"
+        )
     if signature is None:
         signature = theory_signature(ctx)
     generated_system = signature.to_logic_system(ctx.language)
     members = sorted(ctx.perceived)
+    # Bit k is the k-th perceived sentence; hidden sentences follow.
+    hidden = sorted(ctx.language - ctx.perceived)
+    bit = {s: 1 << k for k, s in enumerate(members + hidden)}
+    low = (1 << len(members)) - 1
+    # table[m] ends up holding every conclusion of a rule whose premises are
+    # perceived and inside m: each rule is entered at its own premise mask,
+    # then one subset-sum pass ORs every mask's entry into its supersets.
+    table = [0] * (low + 1)
+    hidden_rules = []
+    for rule in generated_system.rules:
+        premises = sum(bit[p] for p in rule.premises)
+        if premises & ~low:
+            hidden_rules.append((premises, bit[rule.conclusion]))
+        else:
+            table[premises] |= bit[rule.conclusion]
+    for k in range(len(members)):
+        step = 1 << k
+        for m in range(low + 1):
+            if m & step:
+                table[m] |= table[m ^ step]
     mismatches = []
     checked = 0
     for size in range(len(members) + 1):
         for subset in combinations(members, size):
             checked += 1
             X = frozenset(subset)
-            generated = closure(generated_system, X).closure & ctx.perceived
+            derived = sum(bit[s] for s in subset)
+            while True:
+                grown = derived | table[derived & low]
+                for premises, conclusion in hidden_rules:
+                    if premises & grown == premises:
+                        grown |= conclusion
+                if grown == derived:
+                    break
+                derived = grown
             expected = perceived_closure(ctx, X)
-            if generated != expected:
+            if derived & low != sum(bit[s] for s in expected):
+                generated = frozenset(s for s in members if derived & bit[s])
                 mismatches.append(SignatureMismatch(X, generated, expected))
     return SignatureReport(checked, tuple(mismatches))
 

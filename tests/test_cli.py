@@ -152,6 +152,56 @@ class TestStrictInputs:
         assert out == ""
         assert "full-line" in err
 
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            ({"seed": 7.9}, ["check", "--rules", FIXTURES / "rules.json"]),
+            ({"samples": True}, ["check", "--rules", FIXTURES / "rules.json"]),
+            ({"samples": 0}, ["check", "--rules", FIXTURES / "rules.json"]),
+            ({"n": 1.9}, ["ultraword", "--spec", FIXTURES / "paradigm_q1.json"]),
+            ({"n": -1}, ["decompose", "--spec", FIXTURES / "paradigm_q1.json"]),
+            ({"m": "1"}, ["ultraword", "--spec", FIXTURES / "paradigm_q2.json"]),
+            ({"seed": None}, ["check", "--rules", FIXTURES / "rules.json"]),
+            ({"j_max": "x"}, ["points", "--q", "2", "--K", "1", "--i", "0..0"]),
+            ({"j_max": 1.0}, ["paradigm", "--spec", FIXTURES / "paradigm_q1.json"]),
+        ],
+    )
+    def test_config_integers_are_strict(self, capsys, tmp_path, config, argv):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "--config", path, *argv)
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err
+
+    def test_config_integer_accepted(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": 7, "samples": 3}')
+        code, out, _ = run(
+            capsys, "--config", path, "check", "--rules", FIXTURES / "rules.json"
+        )
+        assert code == 0
+        assert json.loads(out)["seed"] == 7
+
+    @pytest.mark.parametrize("scalar", ["1.5", "1e3", "1_000"])
+    def test_series_scalar_must_be_rational(self, capsys, tmp_path, scalar):
+        path = tmp_path / "sp.json"
+        path.write_text(json.dumps({"arity": 3, "members": [[0, 0, scalar]]}))
+        code, out, err = run(capsys, "st", "--input", path)
+        assert code == 3
+        assert out == ""
+        assert "parse error" in err
+
+    def test_oversized_decomposition_is_domain_error(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"q": 1, "K": 1, "m": 9}')
+        code, out, err = run(
+            capsys, "decompose", "--spec", spec, "--mode", "permutational"
+        )
+        assert code == 4
+        assert out == ""
+        assert "limit" in err
+
     def test_m_on_unbounded_points_is_usage_error(self, capsys):
         code, out, err = run(capsys, "points", "--q", "2", "--m", "3", "--i", "0..0")
         assert code == 2

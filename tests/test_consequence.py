@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import hypothesis.strategies as hs
 import pytest
@@ -9,9 +9,11 @@ import strategies as s
 from strategies import random_system
 from ultraword import (
     AxiomCollision,
+    AxiomReport,
     ConjunctionWord,
     LogicSystem,
     Rule,
+    SizeLimit,
     UnknownSentence,
     build_conjunction_word,
     check_consequence_axioms,
@@ -19,6 +21,8 @@ from ultraword import (
     decompose,
     word_closure_contains,
 )
+from ultraword import consequence
+from ultraword.consequence import AxiomViolation, _conjunction_count
 
 CHAIN = LogicSystem.build("abc", [({"a"}, "b"), ({"a", "b"}, "c")])
 
@@ -52,6 +56,83 @@ def arrangements_by_extension(atoms, mode):
         words.update(ConjunctionWord(seq) for seq in grown if len(seq) >= 2)
         frontier = grown
     return frozenset(words)
+
+
+def naive_axiom_report(op, universe):
+    """The exhaustive axiom check by definition: the finitary test unites op
+    over every sub-subset of each subset, 3^n work in all."""
+    universe_set = frozenset(universe)
+    elements = sorted(universe_set, key=lambda v: (type(v).__name__, repr(v)))
+    cache = {}
+
+    def apply(subset):
+        if subset not in cache:
+            cache[subset] = frozenset(op(subset))
+        return cache[subset]
+
+    def subsets(members):
+        for size in range(len(members) + 1):
+            for subset in combinations(members, size):
+                yield frozenset(subset)
+
+    violations = []
+    checked = 0
+    for subset in subsets(elements):
+        checked += 1
+        result = apply(subset)
+        if not subset <= result:
+            violations.append(AxiomViolation(
+                "extensive", subset,
+                f"{len(subset - result)} member(s) dropped by the operator",
+            ))
+        if not result <= universe_set:
+            violations.append(AxiomViolation(
+                "bounded", subset,
+                f"{len(result - universe_set)} member(s) outside the universe",
+            ))
+            continue
+        if apply(result) != result:
+            violations.append(
+                AxiomViolation("idempotent", subset, "op(op(X)) differs from op(X)")
+            )
+        union = set()
+        for part in subsets([x for x in elements if x in subset]):
+            union |= apply(part)
+        if union != result:
+            violations.append(AxiomViolation(
+                "finitary", subset,
+                "union of op over the subsets of X differs from op(X)",
+            ))
+    return AxiomReport(len(elements), True, checked, tuple(violations))
+
+
+def random_operator(rng: random.Random, universe: list):
+    """A table-driven operator over the universe's subsets: a random rule
+    system's closure with some entries dropped, grown, or pushed outside
+    the universe, so that every axiom can fail."""
+    system = random_system(rng, max_sentences=max(1, len(universe)))
+    rename = dict(zip(sorted(system.language), universe))
+    table = {}
+    for size in range(len(universe) + 1):
+        for subset in combinations(universe, size):
+            X = frozenset(subset)
+            inner = {k for k, v in rename.items() if v in X}
+            image = set(X) | {rename[y] for y in closure(system, inner).closure}
+            roll = rng.random()
+            if roll < 0.15 and image:
+                image.discard(rng.choice(sorted(image, key=repr)))
+            elif roll < 0.3 and universe:
+                image.add(rng.choice(universe))
+            elif roll < 0.35:
+                image.add("outside")
+            table[X] = frozenset(image)
+    calls = []
+
+    def op(X):
+        calls.append(X)
+        return table[X]
+
+    return op, calls
 
 
 class TestClosure:
@@ -164,6 +245,29 @@ class TestDecompose:
         assert parts.conjunctions == brute_force_conjunctions(atoms, mode)
         assert parts.atoms == frozenset(atoms)
 
+    @pytest.mark.parametrize("mode", ["canonical", "permutational"])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_closed_form_count(self, mode, n):
+        word = build_conjunction_word([s.seg(k) for k in range(n)])
+        words = decompose(word, mode=mode).conjunctions
+        assert _conjunction_count(n, mode) == len(words)
+
+    @pytest.mark.parametrize("mode, n", [("permutational", 10), ("canonical", 20)])
+    def test_size_limit_before_enumeration(self, monkeypatch, mode, n):
+        def enumerate_words(*_):
+            raise AssertionError("decompose enumerated past its size limit")
+
+        monkeypatch.setattr(consequence, "_arrangements", enumerate_words)
+        word = build_conjunction_word([s.seg(k) for k in range(n)])
+        with pytest.raises(SizeLimit):
+            decompose(word, mode=mode)
+        with pytest.raises(ValueError):
+            decompose(word, mode=mode)
+
+    def test_largest_sizes_within_limit(self):
+        assert _conjunction_count(9, "permutational") <= consequence._WORD_LIMIT
+        assert _conjunction_count(19, "canonical") <= consequence._WORD_LIMIT
+
     def test_bad_mode(self):
         word = build_conjunction_word([s.seg(0), s.seg(1)])
         with pytest.raises(ValueError):
@@ -258,6 +362,28 @@ class TestAxiomHarness:
         assert not first.exhaustive
         assert first == second
         assert first.passed
+
+    @given(hs.integers(0, 2**32 - 1), hs.integers(0, 7))
+    def test_exhaustive_report_matches_definition(self, seed, size):
+        rng = random.Random(seed)
+        universe = rng.sample(["a", "b", "c", "d", 1, 2, 3, (0, 1)], size)
+        op, calls = random_operator(rng, universe)
+        report = check_consequence_axioms(op, universe)
+        dp_calls = calls[:]
+        calls.clear()
+        assert report == naive_axiom_report(op, universe)
+        assert dp_calls == calls
+
+    def test_reference_sees_every_failure_kind(self):
+        kinds = set()
+        for seed in range(40):
+            rng = random.Random(seed)
+            universe = rng.sample(["a", "b", "c", "d", 1, 2, 3, (0, 1)], 6)
+            op, _ = random_operator(rng, universe)
+            report = check_consequence_axioms(op, universe)
+            assert report == naive_axiom_report(op, universe)
+            kinds |= {v.axiom for v in report.violations}
+        assert kinds == {"extensive", "bounded", "idempotent", "finitary"}
 
     @given(hs.integers(0, 2**6 - 1))
     def test_chain_closure_idempotent_extensive(self, mask):

@@ -196,6 +196,10 @@ class TestJson:
             {"arity": 3, "members": [[0, 0]]},
             {"arity": 3, "members": [[0, 0, {"inf": "x"}]]},
             {"arity": 3, "members": [[True, 0, "1"]]},
+            {"arity": 3, "members": [[0, 0, "1.5"]]},
+            {"arity": 3, "members": [[0, 0, "1e3"]]},
+            {"arity": 3, "members": [[0, 0, "1_000"]]},
+            {"arity": 3, "members": [[0, 0, True]]},
         ],
     )
     def test_bad_shapes_rejected(self, bad):

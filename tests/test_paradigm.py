@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 import hypothesis.strategies as hs
-from hypothesis import assume, given
+from hypothesis import given
 
 import strategies as s
 
@@ -174,6 +174,18 @@ bound_values = dict(
 )
 
 
+@hs.composite
+def valid_bounds(draw):
+    """A scheme and the bound values of ``bound_values`` that its kind admits,
+    drawn directly: filtering ``bound_values`` rejects most draws."""
+    sch = draw(s.schemes())
+    m = {1: hs.just(sch.kind.m), 2: hs.integers(0, 5)}.get(
+        sch.kind.q, hs.integers(-4, 0)
+    )
+    p = hs.integers(0, 4) if sch.kind.q == 4 else hs.none()
+    return sch, draw(m), draw(hs.integers(0, 3)), draw(p)
+
+
 class TestBoundsModel:
     @given(sch=s.schemes(), **bound_values)
     def test_accepts_exactly_the_documented_rules(self, sch, m, n, p):
@@ -184,9 +196,10 @@ class TestBoundsModel:
             with pytest.raises(InadmissibleIndex):
                 TruncationBounds(sch.kind, m, n, p)
 
-    @given(sch=s.schemes(), **bound_values)
-    def test_window_indices_are_the_rectangle_over_i_range(self, sch, m, n, p):
-        assume(bounds_valid(sch.kind, m, n, p))
+    @given(valid_bounds())
+    def test_window_indices_are_the_rectangle_over_i_range(self, drawn):
+        sch, m, n, p = drawn
+        assert bounds_valid(sch.kind, m, n, p)
         bounds = TruncationBounds(sch.kind, m, n, p)
         i_lo, i_hi = definition_i_range(sch.kind, m, p)
         closed = {1: sch.kind.m, 3: 0}.get(sch.kind.q)

@@ -1,17 +1,22 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 from ultraword import (
     EmptySource,
     LogicSystem,
     NotPerceived,
     PerceivedContext,
+    SizeLimit,
     TagCollision,
     TheorySignature,
     UnknownSentence,
     behavior_signature,
     check_consequence_axioms,
+    closure,
     converse_ri,
     perceived_closure,
     separate_vs_union,
@@ -20,7 +25,12 @@ from ultraword import (
     theory_signature,
 )
 from strategies import random_context
-from ultraword.signatures import observations_from_json
+from ultraword import signatures
+from ultraword.signatures import (
+    SignatureMismatch,
+    SignatureReport,
+    observations_from_json,
+)
 
 WORKED = PerceivedContext(
     frozenset("abc"),
@@ -29,6 +39,43 @@ WORKED = PerceivedContext(
 )
 
 CHAIN_OBS = [(frozenset("a"), frozenset("b")), (frozenset("b"), frozenset("c"))]
+
+
+def naive_signature_report(ctx, signature=None):
+    """The signature check by definition: close the signature's rule system
+    once for every subset of the perceived set."""
+    if signature is None:
+        signature = theory_signature(ctx)
+    generated_system = signature.to_logic_system(ctx.language)
+    members = sorted(ctx.perceived)
+    mismatches = []
+    checked = 0
+    for size in range(len(members) + 1):
+        for subset in combinations(members, size):
+            checked += 1
+            X = frozenset(subset)
+            generated = closure(generated_system, X).closure & ctx.perceived
+            expected = perceived_closure(ctx, X)
+            if generated != expected:
+                mismatches.append(SignatureMismatch(X, generated, expected))
+    return SignatureReport(checked, tuple(mismatches))
+
+
+def altered_signature(rng, ctx):
+    """The theory signature with tuples dropped, and with tuples added that
+    conclude a hidden sentence or have a hidden premise."""
+    tuples = {t for t in theory_signature(ctx).tuples if rng.random() < 0.7}
+    perceived = sorted(ctx.perceived)
+    hidden = sorted(ctx.language - ctx.perceived)
+    language = perceived + hidden
+    for _ in range(rng.randint(0, 4)):
+        if perceived and hidden:
+            tuples.add(tuple(rng.sample(perceived, 1)) + (rng.choice(hidden),))
+        if hidden:
+            premises = rng.sample(language, rng.randint(1, min(3, len(language))))
+            premises.append(rng.choice(hidden))
+            tuples.add(tuple(sorted(set(premises))) + (rng.choice(language),))
+    return TheorySignature(frozenset(tuples))
 
 
 class TestPerceivedClosure:
@@ -118,6 +165,59 @@ class TestSignatureOperatorCheck:
         for _ in range(40):
             report = signature_operator_check(random_context(rng))
             assert report.passed, report.mismatches
+
+    @given(hs.integers(0, 2**32 - 1))
+    def test_report_matches_definition(self, seed):
+        rng = random.Random(seed)
+        ctx = random_context(rng, max_sentences=7)
+        assert signature_operator_check(ctx) == naive_signature_report(ctx)
+        altered = altered_signature(rng, ctx)
+        assert signature_operator_check(ctx, altered) == naive_signature_report(
+            ctx, altered
+        )
+
+    def test_hidden_premise_rules_chain(self):
+        # p -> h1 and {h1, q} -> h2 and h2 -> r: r follows from {p, q} only by
+        # firing the two rules with hidden premises in turn.
+        ctx = PerceivedContext(
+            frozenset({"p", "q", "r", "h1", "h2"}),
+            frozenset({"p", "q", "r"}),
+            LogicSystem.build(
+                ["p", "q", "r", "h1", "h2"],
+                [({"p"}, "h1"), ({"h1", "q"}, "h2"), ({"h2"}, "r")],
+            ),
+        )
+        chain = TheorySignature(
+            frozenset({("p", "h1"), ("h1", "q", "h2"), ("h2", "r")})
+        )
+        report = signature_operator_check(ctx, chain)
+        assert report.passed
+        assert report == naive_signature_report(ctx, chain)
+        broken = TheorySignature(frozenset({("p", "h1"), ("h2", "r")}))
+        report = signature_operator_check(ctx, broken)
+        assert [m.premises for m in report.mismatches] == [frozenset("pq")]
+        assert report == naive_signature_report(ctx, broken)
+
+    def test_size_limit_before_any_closure(self, monkeypatch):
+        def no_closure(*_):
+            raise AssertionError("closed a subset past the size limit")
+
+        monkeypatch.setattr(signatures, "closure", no_closure)
+        language = [f"p{k:02d}" for k in range(21)]
+        wide = PerceivedContext(
+            frozenset(language), frozenset(language), LogicSystem.build(language, [])
+        )
+        with pytest.raises(SizeLimit):
+            theory_signature(wide)
+        with pytest.raises(SizeLimit):
+            signature_operator_check(wide)
+        narrow = PerceivedContext(
+            frozenset(language[:13]),
+            frozenset(language[:13]),
+            LogicSystem.build(language[:13], []),
+        )
+        with pytest.raises(SizeLimit):
+            signature_operator_check(narrow, TheorySignature(frozenset()))
 
     def test_broken_signature_reports_witness(self):
         broken = TheorySignature(frozenset({("a", "a†missing")}))
