@@ -145,12 +145,12 @@ class SPUniverse:
 
 
 def _hypernatural_from_json(value: object) -> HyperNatural:
-    if isinstance(value, bool):
-        raise ValueError(f"not a natural-number index: {value!r}")
-    if isinstance(value, int):
+    if type(value) is int:
         return Std(value)
-    if isinstance(value, dict) and "inf" in value:
-        return Inf(str(value["inf"]), int(value.get("offset", 0)))
+    if isinstance(value, dict) and isinstance(value.get("inf"), str):
+        offset = value.get("offset", 0)
+        if type(offset) is int:
+            return Inf(value["inf"], offset)
     raise ValueError(f"not a natural-number index: {value!r}")
 
 
@@ -190,5 +190,7 @@ def universe_from_json(obj: dict) -> SPUniverse:
     """Parse {"arity": n, "members": [[...], ...]}."""
     if not isinstance(obj, dict) or "arity" not in obj or "members" not in obj:
         raise ValueError('subparticle file must be {"arity": n, "members": [...]}')
+    if type(obj["arity"]) is not int:
+        raise ValueError(f"arity must be an integer, got {obj['arity']!r}")
     members = frozenset(subparticle_from_json(entry) for entry in obj["members"])
-    return SPUniverse(int(obj["arity"]), members)
+    return SPUniverse(obj["arity"], members)

@@ -30,7 +30,10 @@ def parse_rational(text: str) -> Rational:
     """Parse the canonical "p/q" (or bare "p") serialization, exactly."""
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def format_rational(value: RationalLike) -> str:

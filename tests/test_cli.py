@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,13 +9,21 @@ import pytest
 from ultraword.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
-GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "cli_fixtures.json"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "perfbench" / "expected" / "cli_fixtures.json"
+GOLDEN_ENTRIES = json.loads(GOLDEN.read_text("utf-8"))
 
 
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_config(tmp_path, config) -> Path:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return path
 
 
 class TestPoints:
@@ -167,9 +178,7 @@ class TestStrictInputs:
         ],
     )
     def test_config_integers_are_strict(self, capsys, tmp_path, config, argv):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        code, out, err = run(capsys, "--config", path, *argv)
+        code, out, err = run(capsys, "--config", write_config(tmp_path, config), *argv)
         assert code == 2
         assert out == ""
         assert "usage error" in err
@@ -191,6 +200,32 @@ class TestStrictInputs:
         assert code == 3
         assert out == ""
         assert "parse error" in err
+
+    def test_zero_denominator_flag_is_usage_error(self, capsys, tmp_path):
+        argv = ["points", "--q", "1", "--K", "1", "--m", "2"]
+        with pytest.raises(SystemExit) as exit_info:
+            run(capsys, *argv, "--b", "1/0")
+        assert exit_info.value.code == 2
+        code, out, err = run(capsys, "--config", write_config(tmp_path, {"b": "1/0"}), *argv)
+        assert code == 2
+        assert out == ""
+        assert "zero denominator" in err
+
+    @pytest.mark.parametrize(
+        "command, flag, doc",
+        [
+            ("paradigm", "--spec", {"q": 1, "K": 1, "m": 2, "b": "1/0"}),
+            ("st", "--input", {"arity": 3, "members": [[0, 0, "1/0"]]}),
+            ("st", "--input", {"arity": 3, "members": [[0, 0, [[0, "1/0"]]]]}),
+        ],
+    )
+    def test_zero_denominator_in_file_is_parse_error(self, capsys, tmp_path, command, flag, doc):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, flag, path)
+        assert code == 3
+        assert out == ""
+        assert "zero denominator" in err
 
     def test_oversized_decomposition_is_domain_error(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
@@ -358,6 +393,38 @@ class TestConfig:
         code, _, _ = run(capsys, "--config", "missing.json", "points", "--q", "2")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            ({"mode": "bogus"}, ["decompose", "--spec", FIXTURES / "paradigm_q1.json", "--n", "1"]),
+            ({"premises": ["a"]}, ["closure", "--rules", FIXTURES / "rules.json"]),
+            ({"axioms": None}, ["decompose", "--spec", FIXTURES / "paradigm_q1.json", "--n", "1"]),
+            ({"label": ["x"]}, ["ultraword", "--spec", FIXTURES / "paradigm_q1.json", "--n", "1"]),
+            ({"X": 1.5}, ["signature", "--context", FIXTURES / "context.json"]),
+        ],
+    )
+    def test_config_values_pass_the_flag_validator(self, capsys, tmp_path, config, argv):
+        code, out, err = run(capsys, "--config", write_config(tmp_path, config), *argv)
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err
+
+    def test_string_config_value_matches_flag(self, capsys, tmp_path):
+        argv = ["ultraword", "--spec", FIXTURES / "paradigm_q1.json", "--n", "1"]
+        code, out, _ = run(capsys, "--config", write_config(tmp_path, {"label": 5}), *argv)
+        assert code == 0
+        assert out == run(capsys, *argv, "--label", "5")[1]
+        assert json.loads(out)["label"] == "5"
+
+    def test_one_config_serves_every_command(self, capsys, tmp_path):
+        path = write_config(tmp_path, {"format": "csv", "seed": 7})
+        code, out, _ = run(capsys, "--config", path, "points", "--q", "1", "--K", "1", "--m", "2")
+        assert code == 0
+        assert out.splitlines() == ["i,j,t", "0,0,0", "1,0,1", "2,0,2"]
+        code, out, _ = run(capsys, "--config", path, "check", "--rules", FIXTURES / "rules.json")
+        assert code == 0
+        assert json.loads(out)["seed"] == 7
+
 
 class TestLogging:
     def test_debug_logging_stays_on_stderr(self, capsys, monkeypatch):
@@ -370,16 +437,73 @@ class TestLogging:
 
     def test_unknown_level_falls_back(self, capsys, monkeypatch):
         monkeypatch.setenv("ULTRAWORD_LOG", "chatty")
-        code, _, _ = run(capsys, "points", "--q", "2", "--K", "1", "--i", "0..0")
+        code, _, err = run(capsys, "points", "--q", "2", "--K", "1", "--i", "0..0")
         assert code == 0
+        assert err == ""
+
+    def test_info_names_the_command(self, capsys, monkeypatch):
+        monkeypatch.setenv("ULTRAWORD_LOG", "info")
+        code, _, err = run(capsys, "points", "--q", "2", "--K", "1", "--i", "0..0")
+        assert code == 0
+        assert err == "INFO ultraword: running points\n"
+
+    def test_debug_names_each_loaded_file(self, capsys, monkeypatch):
+        monkeypatch.setenv("ULTRAWORD_LOG", "DEBUG")
+        rules = FIXTURES / "rules.json"
+        code, _, err = run(capsys, "closure", "--rules", rules)
+        assert code == 0
+        assert err.splitlines() == [
+            "INFO ultraword: running closure",
+            f"DEBUG ultraword: loading {rules}",
+        ]
+
+    def test_cli_import_does_not_load_logging(self):
+        # An absolute src path first, so the child imports this checkout.
+        env = dict(os.environ)
+        src = str(ROOT / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, ultraword.cli; print('logging' in sys.modules)"],
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr.decode()
+        assert result.stdout.decode().strip() == "False"
 
 
-@pytest.mark.parametrize(
-    "entry", json.loads(GOLDEN.read_text("utf-8")), ids=lambda entry: entry["name"]
-)
+@pytest.mark.parametrize("entry", GOLDEN_ENTRIES, ids=lambda entry: entry["name"])
 def test_golden_stdout_and_exit_code(entry, capsys, monkeypatch):
     """Each documented command reproduces its frozen stdout byte for byte."""
     monkeypatch.chdir(FIXTURES)
     code, out, _ = run(capsys, *entry["argv"])
+    assert code == entry["exit"]
+    assert out.encode("utf-8") == entry["stdout"].encode("utf-8")
+
+
+# Value flags a config file cannot set: required flags and file paths.
+FLAGS_ONLY = {"--q", "--spec", "--rules", "--context", "--observations", "--input", "--sp"}
+INTEGER_FLAGS = {"--K", "--m", "--p", "--n", "--j-max", "--samples", "--seed"}
+
+
+@pytest.mark.parametrize("entry", GOLDEN_ENTRIES, ids=lambda entry: entry["name"])
+def test_config_equals_flags(entry, capsys, monkeypatch, tmp_path):
+    """Each golden command gives the same stdout with its optional value flags
+    moved into a config file."""
+    monkeypatch.chdir(FIXTURES)
+    argv = list(entry["argv"])
+    config = {}
+    if argv[0] == "--config":
+        config = json.loads((FIXTURES / argv[1]).read_text("utf-8"))
+        argv = argv[2:]
+    kept = argv[:1]
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        value = next(tokens)
+        if flag in FLAGS_ONLY:
+            kept += [flag, value]
+        else:
+            config[flag[2:].replace("-", "_")] = int(value) if flag in INTEGER_FLAGS else value
+    code, out, _ = run(capsys, "--config", write_config(tmp_path, config), *kept)
     assert code == entry["exit"]
     assert out.encode("utf-8") == entry["stdout"].encode("utf-8")

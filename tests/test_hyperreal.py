@@ -200,6 +200,13 @@ class TestJson:
             {"arity": 3, "members": [[0, 0, "1e3"]]},
             {"arity": 3, "members": [[0, 0, "1_000"]]},
             {"arity": 3, "members": [[0, 0, True]]},
+            {"arity": 3.9, "members": []},
+            {"arity": True, "members": []},
+            {"arity": "3", "members": []},
+            {"arity": 3, "members": [[0, {"inf": "lambda", "offset": 1.9}, "1"]]},
+            {"arity": 3, "members": [[0, {"inf": "lambda", "offset": True}, "1"]]},
+            {"arity": 3, "members": [[0, {"inf": 5}, "1"]]},
+            {"arity": 3, "members": [[0, 0, "1/0"]]},
         ],
     )
     def test_bad_shapes_rejected(self, bad):

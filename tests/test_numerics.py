@@ -29,8 +29,9 @@ class TestRational:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             Fraction(1, 2) / Fraction(0)
-        with pytest.raises(ZeroDivisionError):
-            parse_rational("1/0")
+        for text in ("1/0", "-2/00", "0/0"):
+            with pytest.raises(ValueError, match="zero denominator"):
+                parse_rational(text)
 
     def test_serialization_forms(self):
         assert format_rational(Fraction(3)) == "3"
