@@ -23,6 +23,7 @@ from .consequence import (
     closure,
     decompose,
 )
+from .decode import DecodeError, typed
 from .errors import DomainError
 from .hyperreal import (
     realism_relation,
@@ -32,7 +33,7 @@ from .hyperreal import (
     universe_from_json,
 )
 from .language import paradigm_from_json
-from .numerics import parse_rational
+from .numerics import Rational, parse_rational
 from .paradigm import TruncationBounds, ultraword, window_rows
 from .signatures import (
     PerceivedContext,
@@ -56,10 +57,6 @@ class UsageFailure(Exception):
     """Flag or config errors detected outside argparse's own parse."""
 
 
-class ParseFailure(Exception):
-    """Input files that do not parse or do not match their schema."""
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
@@ -77,12 +74,11 @@ def _natural_int(text: str) -> int:
 _INTEGER_TYPES = (int, _positive_int, _natural_int)
 
 
-def _rational_arg(text: str) -> str:
+def _rational_arg(text: str) -> Rational:
     try:
-        parse_rational(text)
+        return parse_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
 
 
 def _range_arg(text: str) -> tuple[int, int]:
@@ -105,17 +101,15 @@ def _log(level: str, message: str) -> None:
         print(f"{level} ultraword: {message}", file=sys.stderr)
 
 
-def _load_json(path: str):
+def _read(path: str, builder):
+    """Build an input file's object; any ValueError is the file's parse error."""
     _log("DEBUG", f"loading {path}")
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _interpret(builder, raw, what: str):
+        raw = json.load(handle)
     try:
         return builder(raw)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ParseFailure(f"{what}: {exc}") from exc
+    except ValueError as exc:
+        raise DecodeError(path, str(exc)) from exc
 
 
 def _config_defaults(actions, config: dict, paths) -> dict:
@@ -402,16 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config(path: str) -> dict:
-    try:
-        config = _load_json(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseFailure(f"cannot read config: {exc}") from None
-    if not isinstance(config, dict):
-        raise ParseFailure("config must be a JSON object")
-    return config
-
-
 def main(argv: list[str] | None = None) -> int:
     # Input-file flags and the builders that turn each file into its object.
     files = {
@@ -423,10 +407,10 @@ def main(argv: list[str] | None = None) -> int:
         "sp": universe_from_json,
     }
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.config:
-            config = _read_config(args.config)
+            config = _read(args.config, lambda doc: typed(doc, dict, ""))
             sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
             sub.set_defaults(**_config_defaults(sub._actions, config, {"output", *files}))
             args = parser.parse_args(argv)
@@ -434,12 +418,14 @@ def main(argv: list[str] | None = None) -> int:
         for name, builder in files.items():
             path = getattr(args, name, None)
             if path is not None:
-                setattr(args, name, _interpret(builder, _load_json(path), path))
+                setattr(args, name, _read(path, builder))
         payload = args.handler(args)
+    except SystemExit as exc:  # argparse has printed its usage error or help
+        return exc.code
     except UsageFailure as exc:
         print(f"ultraword: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ParseFailure as exc:
+    except DecodeError as exc:
         print(f"ultraword: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (OSError, json.JSONDecodeError) as exc:

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .decode import DecodeError, each, fields, rational, typed
 from .errors import Unlimited
-from .numerics import EpsilonSeries, HyperNatural, Inf, Rational, Std, parse_rational
+from .numerics import EpsilonSeries, HyperNatural, Inf, Rational, Std
 
 
 def st_point(x: EpsilonSeries) -> Rational:
@@ -147,11 +148,8 @@ class SPUniverse:
 def _hypernatural_from_json(value: object) -> HyperNatural:
     if type(value) is int:
         return Std(value)
-    if isinstance(value, dict) and isinstance(value.get("inf"), str):
-        offset = value.get("offset", 0)
-        if type(offset) is int:
-            return Inf(value["inf"], offset)
-    raise ValueError(f"not a natural-number index: {value!r}")
+    label, offset = fields(value, ("inf",), offset=0)
+    return Inf(typed(label, str, "inf"), typed(offset, int, "offset"))
 
 
 def _hypernatural_to_json(value: HyperNatural) -> object:
@@ -160,24 +158,21 @@ def _hypernatural_to_json(value: HyperNatural) -> object:
     return {"inf": value.label, "offset": value.offset}
 
 
+def _term_from_json(pair: object) -> tuple[int, Fraction]:
+    if len(typed(pair, list, "")) != 2:
+        raise DecodeError("", "expected an [exponent, coefficient] pair")
+    return typed(pair[0], int, "[0]"), rational(pair[1], "[1]")
+
+
 def _series_from_json(value: object) -> EpsilonSeries:
-    if isinstance(value, bool):
-        raise ValueError(f"not an epsilon series: {value!r}")
-    if isinstance(value, int):
-        return EpsilonSeries.from_rational(value)
-    if isinstance(value, str):
-        return EpsilonSeries.from_rational(parse_rational(value))
-    if isinstance(value, list):
-        return EpsilonSeries.from_pairs(value)
-    raise ValueError(f"not an epsilon series: {value!r}")
+    if type(value) is list:
+        return EpsilonSeries(tuple(each(_term_from_json, value, "")))
+    return EpsilonSeries.from_rational(rational(value, ""))
 
 
-def subparticle_from_json(coords: list) -> SubparticleRep:
-    if not isinstance(coords, list) or len(coords) < 3:
-        raise ValueError("a subparticle entry must be a list of arity >= 3")
-    head = [_hypernatural_from_json(v) for v in coords[:2]]
-    tail = [_series_from_json(v) for v in coords[2:]]
-    return SubparticleRep(tuple(head) + tuple(tail))
+def subparticle_from_json(coords: object) -> SubparticleRep:
+    head = each(_hypernatural_from_json, typed(coords, list, "")[:2], "")
+    return SubparticleRep((*head, *each(_series_from_json, coords, "", start=2)))
 
 
 def subparticle_to_json(rep: SubparticleRep) -> list:
@@ -186,11 +181,7 @@ def subparticle_to_json(rep: SubparticleRep) -> list:
     ]
 
 
-def universe_from_json(obj: dict) -> SPUniverse:
+def universe_from_json(obj: object) -> SPUniverse:
     """Parse {"arity": n, "members": [[...], ...]}."""
-    if not isinstance(obj, dict) or "arity" not in obj or "members" not in obj:
-        raise ValueError('subparticle file must be {"arity": n, "members": [...]}')
-    if type(obj["arity"]) is not int:
-        raise ValueError(f"arity must be an integer, got {obj['arity']!r}")
-    members = frozenset(subparticle_from_json(entry) for entry in obj["members"])
-    return SPUniverse(obj["arity"], members)
+    arity, members = fields(obj, ("arity", "members"))
+    return SPUniverse(typed(arity, int, "arity"), each(subparticle_from_json, members, "members"))

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Hashable, Iterable
 
+from .decode import DecodeError, fields, rational, typed
 from .errors import IncomparableMembers, TooFewMembers
 from .numerics import Rational, format_rational, parse_rational
 from .timeline import IndexPair, PartitionScheme
@@ -260,35 +261,32 @@ class DevelopmentalParadigm:
         ]
 
 
-def paradigm_from_json(obj: dict) -> DevelopmentalParadigm:
-    """Build a paradigm from its JSON description.
-
-    Expected keys: "q" (1..4), "K" (positive int), for q=1 only "m" (positive
-    int) and optionally "b" (defaults to m/K), optional "mode", optional
-    "bodies" (a template string with {i}, {j}, {t} placeholders, or a list of
-    literal bodies cycled over the within-subinterval index j).
-    """
-    if not isinstance(obj, dict):
-        raise ValueError("paradigm spec must be a JSON object")
-    try:
-        q, K = obj["q"], obj["K"]
-    except KeyError as missing:
-        raise ValueError(f"paradigm spec is missing {missing}") from None
-    scheme = PartitionScheme.of(q, K, obj.get("m"), obj.get("b"))
-    mode = str(obj.get("mode", "description"))
-    bodies = obj.get("bodies", "event")
-    if isinstance(bodies, str):
-        template = bodies
+def paradigm_from_json(obj: object) -> DevelopmentalParadigm:
+    """Build a paradigm from its JSON spec (README, *File formats*). "bodies"
+    is a template with {i}, {j} and {t} placeholders, tried here at (0, 0)
+    with t = 0, or a nonempty list of bodies cycled over j."""
+    q, K, m, b, mode, bodies = fields(
+        obj, ("q", "K"), m=None, b=None, mode="description", bodies="event"
+    )
+    m = None if m is None else typed(m, int, "m")
+    b = None if b is None else rational(b, "b")
+    scheme = PartitionScheme.of(typed(q, int, "q"), typed(K, int, "K"), m, b)
+    if type(bodies) is str:
 
         def body_fn(idx: IndexPair, t: Rational) -> str:
-            return template.format(i=idx.i, j=idx.j, t=format_rational(t))
+            return bodies.format(i=idx.i, j=idx.j, t=format_rational(t))
 
-    elif isinstance(bodies, list) and bodies and all(isinstance(s, str) for s in bodies):
+    elif type(bodies) is list and {*map(type, bodies)} == {str}:
         literal = tuple(bodies)
 
         def body_fn(idx: IndexPair, t: Rational) -> str:
             return literal[idx.j % len(literal)]
 
     else:
-        raise ValueError('"bodies" must be a template string or a list of strings')
-    return DevelopmentalParadigm(scheme, mode=mode, body_fn=body_fn)
+        typed(bodies, str, "bodies", "a template string or a nonempty list of strings")  # raises
+    try:
+        for body in [bodies.format(i=0, j=0, t="0")] if type(bodies) is str else literal:
+            Word.of(body)
+    except (LookupError, ValueError, AttributeError, TypeError) as exc:
+        raise DecodeError("bodies", f"makes no word: {exc!r}") from None
+    return DevelopmentalParadigm(scheme, mode=typed(mode, str, "mode"), body_fn=body_fn)

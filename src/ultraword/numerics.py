@@ -43,7 +43,7 @@ def format_rational(value: RationalLike) -> str:
 
 def _as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, (Fraction, int)):
-        return Fraction(value)
+        return value if type(value) is Fraction else Fraction(value)
     raise TypeError(f"expected a rational value, got {type(value).__name__}")
 
 
@@ -66,7 +66,9 @@ class EpsilonSeries:
             if not isinstance(exponent, int):
                 raise TypeError(f"exponent must be an integer, got {exponent!r}")
             coefficient = _as_fraction(coefficient)
-            combined[exponent] = combined.get(exponent, Fraction(0)) + coefficient
+            if exponent in combined:
+                coefficient += combined[exponent]
+            combined[exponent] = coefficient
         canonical = tuple(
             (k, c) for k, c in sorted(combined.items()) if c != 0
         )
@@ -168,16 +170,6 @@ class EpsilonSeries:
     def to_pairs(self) -> list[list[object]]:
         """Serialize as [[exponent, "p/q"], ...] sorted by exponent."""
         return [[k, format_rational(c)] for k, c in self.terms]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Iterable[object]]) -> EpsilonSeries:
-        terms = []
-        for pair in pairs:
-            exponent, coefficient = pair
-            if isinstance(exponent, bool) or not isinstance(exponent, int):
-                raise ValueError(f"exponent must be an integer, got {exponent!r}")
-            terms.append((exponent, parse_rational(str(coefficient))))
-        return cls(tuple(terms))
 
     def __str__(self) -> str:
         if not self.terms:

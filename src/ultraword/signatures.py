@@ -16,6 +16,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .consequence import LogicSystem, Rule, closure
+from .decode import each, fields, texts, typed
 from .errors import EmptySource, NotPerceived, SizeLimit, TagCollision, UnknownSentence
 
 _CHECK_LIMIT = 12
@@ -51,17 +52,10 @@ class PerceivedContext:
             )
 
     @classmethod
-    def from_json(cls, obj: dict) -> PerceivedContext:
-        if not isinstance(obj, dict):
-            raise ValueError("context must be a JSON object")
-        try:
-            language = frozenset(str(s) for s in obj["language"])
-            perceived = frozenset(str(s) for s in obj["perceived"])
-            rules = obj["rules"]
-        except KeyError as missing:
-            raise ValueError(f"context is missing {missing}") from None
-        theory = LogicSystem.from_json({"language": sorted(language), "rules": rules})
-        return cls(language, perceived, theory, str(obj.get("tag", "†")))
+    def from_json(cls, obj: object) -> PerceivedContext:
+        language, perceived, rules, tag = fields(obj, ("language", "perceived", "rules"), tag="†")
+        theory = LogicSystem.from_json({"language": language, "rules": rules})
+        return cls(theory.language, texts(perceived, "perceived"), theory, typed(tag, str, "tag"))
 
 
 def _require_perceived(ctx: PerceivedContext, X: frozenset[str]) -> None:
@@ -286,27 +280,19 @@ def tag_j_prime(
     return frozenset((s, s + ctx.tag) for s in members)
 
 
-def observations_from_json(
-    obj: object,
-) -> tuple[list[tuple[frozenset[str], frozenset[str]]], frozenset[str]]:
-    """Parse an observation file: either a bare list of {"X": [...],
-    "Xprime": [...]} entries (language inferred) or an object with "language"
-    and "observations" keys."""
-    if isinstance(obj, dict):
-        language = frozenset(str(s) for s in obj.get("language", ()))
-        entries = obj.get("observations")
-    else:
-        language = frozenset()
-        entries = obj
-    if not isinstance(entries, list):
-        raise ValueError("observations must be a JSON list")
-    observations = []
-    mentioned: set[str] = set()
-    for entry in entries:
-        if not isinstance(entry, dict) or "X" not in entry or "Xprime" not in entry:
-            raise ValueError('each observation must be {"X": [...], "Xprime": [...]}')
-        source = frozenset(str(s) for s in entry["X"])
-        produced = frozenset(str(s) for s in entry["Xprime"])
-        mentioned |= source | produced
-        observations.append((source, produced))
-    return observations, (language or frozenset(mentioned))
+def _observation_from_json(entry: object) -> Observation:
+    X, X_prime = fields(entry, ("X", "Xprime"))
+    return frozenset(texts(X, "X")), frozenset(texts(X_prime, "Xprime"))
+
+
+def observations_from_json(obj: object) -> tuple[list[Observation], frozenset[str]]:
+    """Parse a list of {"X": [...], "Xprime": [...]} entries, optionally as the
+    "observations" of an object with a "language" (else it is inferred)."""
+    entries, language, path = obj, None, ""
+    if type(obj) is dict:
+        entries, language = fields(obj, ("observations",), language=None)
+        path = "observations"
+    observations = each(_observation_from_json, entries, path)
+    if language is None:
+        return observations, frozenset().union(*(X | Y for X, Y in observations))
+    return observations, frozenset(texts(language, "language"))

@@ -19,7 +19,7 @@ from functools import total_ordering
 from typing import Callable, Hashable
 
 from .errors import InadmissibleIndex
-from .numerics import Rational, parse_rational
+from .numerics import Rational
 
 PointRule = Callable[[int, int], Rational]
 
@@ -156,18 +156,12 @@ class PartitionScheme:
             )
 
     @classmethod
-    def of(cls, q: int, K: int, m: int | None = None, b=None) -> PartitionScheme:
-        """The default-rule scheme for raw (q, K, m, b) values, as read from a
-        file or flags. q, K and m must be ints; b is a rational or its text and
-        defaults to m/K. Values the kind does not use are rejected."""
-        for name, value in (("q", q), ("K", K), ("m", m)):
-            if type(value) is not int and (name != "m" or value is not None):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+    def of(cls, q: int, K: int, m: int | None = None, b: Rational | None = None) -> PartitionScheme:
+        """The default-rule scheme for (q, K, m, b), as read from a file or
+        flags; b defaults to m/K. Values the kind does not use are rejected."""
         if K <= 0:
             raise ValueError(f"K must be a positive integer, got {K}")
-        if b is not None:
-            b = parse_rational(str(b))
-        elif m is not None:
+        if b is None and m is not None:
             b = Fraction(m, K)
         return cls(K, IntervalKind(q, b, m))
 

@@ -12,12 +12,23 @@ FIXTURES = Path(__file__).parent / "fixtures"
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "perfbench" / "expected" / "cli_fixtures.json"
 GOLDEN_ENTRIES = json.loads(GOLDEN.read_text("utf-8"))
+CONTEXT = json.loads((FIXTURES / "context.json").read_text("utf-8"))
 
 
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def rule_file(language, **rule) -> dict:
+    """A rule file of one rule, a -> b with the given keys replaced."""
+    return {"language": language, "rules": [{"premises": ["a"], "conclusion": "b"} | rule]}
+
+
+def subparticles(*members) -> dict:
+    """A subparticle file of arity 3."""
+    return {"arity": 3, "members": list(members)}
 
 
 def write_config(tmp_path, config) -> Path:
@@ -48,9 +59,10 @@ class TestPoints:
         assert len(json.loads(out)) == 3 * 2 + 1
 
     def test_k_zero_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            run(capsys, "points", "--q", "2", "--K", "0")
-        assert err.value.code == 2
+        code, out, err = run(capsys, "points", "--q", "2", "--K", "0")
+        assert code == 2
+        assert out == ""
+        assert "--K" in err
 
     def test_missing_i_for_unbounded_kind(self, capsys):
         code, _, err = run(capsys, "points", "--q", "2", "--K", "1")
@@ -203,9 +215,10 @@ class TestStrictInputs:
 
     def test_zero_denominator_flag_is_usage_error(self, capsys, tmp_path):
         argv = ["points", "--q", "1", "--K", "1", "--m", "2"]
-        with pytest.raises(SystemExit) as exit_info:
-            run(capsys, *argv, "--b", "1/0")
-        assert exit_info.value.code == 2
+        code, out, err = run(capsys, *argv, "--b", "1/0")
+        assert code == 2
+        assert out == ""
+        assert "zero denominator" in err
         code, out, err = run(capsys, "--config", write_config(tmp_path, {"b": "1/0"}), *argv)
         assert code == 2
         assert out == ""
@@ -226,6 +239,47 @@ class TestStrictInputs:
         assert code == 3
         assert out == ""
         assert "zero denominator" in err
+
+    @pytest.mark.parametrize(
+        "command, flag, doc, path",
+        [
+            ("closure", "--rules", rule_file(["a", "b"], premises="a"), "rules[0].premises"),
+            ("closure", "--rules", {"language": "ab", "rules": []}, "language"),
+            ("closure", "--rules", {"language": {"a": 1, "b": 2}, "rules": []}, "language"),
+            ("closure", "--rules", rule_file([1, 2], premises=[1], conclusion=2), "language[0]"),
+            ("closure", "--rules", rule_file(["a", "b"], conclusion=None), "rules[0].conclusion"),
+            ("closure", "--rules", rule_file(["a", "b"], extra=["a"]), "rules[0].extra"),
+            ("closure", "--rules", {"language": ["a"], "rules": [["a"]]}, "rules[0]"),
+            ("closure", "--rules", {"language": ["a"], "rules": [], "extra": 1}, "extra"),
+            ("signature", "--context", dict(CONTEXT, perceived="ac"), "perceived"),
+            ("signature", "--context", dict(CONTEXT, tag=5), "tag"),
+            ("converse", "--observations", [{"X": [1], "Xprime": [None]}], "[0].X[0]"),
+            ("converse", "--observations", {"observations": [], "language": None}, "language"),
+            ("paradigm", "--spec", {"q": 2, "K": 1, "extra": 1}, "extra"),
+            ("paradigm", "--spec", {"q": 2, "K": 1, "m": None}, "m"),
+            (
+                "st", "--input", subparticles([0, {"inf": "l", "offset": 1.5}, 1]),
+                "members[0][1].offset",
+            ),
+            ("st", "--input", subparticles([0, 0, [[0, "1"], [1, "1/0"]]]), "members[0][2][1][1]"),
+        ],
+    )
+    def test_malformed_files_name_the_json_path(self, capsys, tmp_path, command, flag, doc, path):
+        target = tmp_path / "input.json"
+        target.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, flag, target)
+        assert code == 3
+        assert out == ""
+        assert f"parse error: {target}: {path}: " in err
+
+    @pytest.mark.parametrize("bodies", ["e-{x}", "e-{0}", "e-{i:q}", "e-{", "", " ", ["a", ""]])
+    def test_unusable_bodies_are_parse_errors(self, capsys, tmp_path, bodies):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"q": 2, "K": 1, "bodies": bodies}))
+        code, out, err = run(capsys, "paradigm", "--spec", spec, "--i", "0..0")
+        assert code == 3
+        assert out == ""
+        assert "bodies: " in err
 
     def test_oversized_decomposition_is_domain_error(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
@@ -366,10 +420,16 @@ class TestErrorMapping:
         code, _, _ = run(capsys, "closure", "--rules", bad)
         assert code == 4
 
+    def test_help_returns_zero(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: ultraword")
+
     def test_unknown_command(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            run(capsys, "frobnicate")
-        assert err.value.code == 2
+        code, out, err = run(capsys, "frobnicate")
+        assert code == 2
+        assert out == ""
+        assert "frobnicate" in err
 
 
 class TestConfig:

@@ -194,6 +194,11 @@ class TestClosure:
     def test_json_round_trip(self):
         assert LogicSystem.from_json(CHAIN.to_json()) == CHAIN
 
+    @given(hs.randoms(use_true_random=False))
+    def test_json_round_trip_random_systems(self, rng):
+        system = random_system(rng)
+        assert LogicSystem.from_json(system.to_json()) == system
+
 
 class TestDecompose:
     def test_three_atom_canonical_counts(self):

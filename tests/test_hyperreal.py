@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as hs
 import pytest
 from hypothesis import given
 
@@ -171,9 +172,19 @@ class TestUniverse:
             SPUniverse(3, frozenset({SubparticleRep((Std(0), Std(0), epsilon(-2)))}))
 
 
+HYPERNATURALS = hs.builds(Std, hs.integers(0, 50)) | hs.builds(
+    Inf, hs.sampled_from(["lambda", "mu"]), hs.integers(-3, 3)
+)
+
+
 class TestJson:
     def test_round_trip(self):
         member = rep(ONE_PLUS_EPS, EpsilonSeries.from_rational(Fraction(3, 2)))
+        assert subparticle_from_json(subparticle_to_json(member)) == member
+
+    @given(HYPERNATURALS, HYPERNATURALS, hs.lists(s.eps_series(), min_size=1, max_size=3))
+    def test_round_trip_random_members(self, a, b, tail):
+        member = SubparticleRep((a, b, *tail))
         assert subparticle_from_json(subparticle_to_json(member)) == member
 
     def test_scalar_shorthand(self):
@@ -193,6 +204,8 @@ class TestJson:
         "bad",
         [
             {"members": []},
+            {"arity": 3, "members": [7]},
+            {"arity": 3, "members": [{"inf": "x"}]},
             {"arity": 3, "members": [[0, 0]]},
             {"arity": 3, "members": [[0, 0, {"inf": "x"}]]},
             {"arity": 3, "members": [[True, 0, "1"]]},
