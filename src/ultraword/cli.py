@@ -37,6 +37,7 @@ from .numerics import Rational, parse_rational
 from .paradigm import TruncationBounds, ultraword, window_rows
 from .signatures import (
     PerceivedContext,
+    TheorySignature,
     behavior_signature,
     converse_ri,
     observations_from_json,
@@ -247,11 +248,7 @@ def cmd_signature(args: argparse.Namespace) -> str:
         if args.theory:
             raise UsageFailure("--X and --theory are mutually exclusive")
         signature = behavior_signature(args.context, args.X)
-        rules = [
-            {"premises": sorted(t[:-1]), "conclusion": t[-1]}
-            for t in sorted(signature.tuples)
-        ]
-        return _to_json(rules)
+        return _to_json(TheorySignature(signature.tuples).to_json())
     return _to_json(theory_signature(args.context).to_json())
 
 

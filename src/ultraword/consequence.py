@@ -13,10 +13,11 @@ of the conjunctions.
 from __future__ import annotations
 
 import random
+from collections.abc import Set
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import perm
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .decode import each, fields, texts, typed
 from .errors import AxiomCollision, SizeLimit, UnknownSentence
@@ -26,8 +27,9 @@ from .language import ConjunctionWord, FrozenSegment
 DEFAULT_SEED = 1729
 
 _EXHAUSTIVE_LIMIT = 12
-# Most conjunctions decompose enumerates: permutational mode stops at 9 atoms
-# (986,400 words) and canonical mode at 19 (524,268).
+# Most conjunctions a listing of a decomposition builds: permutational mode
+# lists up to 9 atoms (986,400 words) and canonical mode up to 19 (524,268).
+# Size and membership answer at any atom count.
 _WORD_LIMIT = 1_000_000
 
 SetOperator = Callable[[frozenset], Iterable]
@@ -136,6 +138,53 @@ def closure(system: LogicSystem, premises: Iterable[str]) -> ClosureResult:
     return ClosureResult(frozenset(derived), tuple(order))
 
 
+@dataclass(frozen=True, eq=False)
+class ConjunctionSpace(Set):
+    """Every conjunction word over ``atoms``: each arrangement of each subset
+    of two or more atoms (permutational mode, sum of n!/(n-k)! for k = 2..n),
+    or only the ascending one (canonical mode, 2^n - n - 1). Size and
+    membership come from the atoms; iteration alone builds words, and raises
+    ``SizeLimit`` first when there are more than ``_WORD_LIMIT``. The space
+    compares and hashes equal to the frozenset of its words."""
+
+    atoms: frozenset[FrozenSegment]
+    mode: str
+
+    __hash__ = Set._hash
+
+    @classmethod
+    def _from_iterable(cls, words: Iterable) -> frozenset:
+        return frozenset(words)
+
+    def __len__(self) -> int:
+        n = len(self.atoms)
+        if self.mode == "canonical":
+            return 2**n - n - 1
+        return sum(perm(n, k) for k in range(2, n + 1))
+
+    def __contains__(self, candidate: object) -> bool:
+        return (
+            isinstance(candidate, ConjunctionWord)
+            and candidate.atoms <= self.atoms
+            and (self.mode == "permutational" or candidate.is_canonical)
+        )
+
+    def __iter__(self) -> Iterator[ConjunctionWord]:
+        count = len(self)
+        if count > _WORD_LIMIT:
+            raise SizeLimit(
+                f"{self.mode} decomposition of {len(self.atoms)} atoms has {count} "
+                f"conjunctions, over the limit of {_WORD_LIMIT}"
+            )
+        ordered = sorted(self.atoms, key=lambda a: a.sort_key)
+        arrange = combinations if self.mode == "canonical" else permutations
+        return (
+            ConjunctionWord(conjuncts)
+            for size in range(2, len(ordered) + 1)
+            for conjuncts in arrange(ordered, size)
+        )
+
+
 @dataclass(frozen=True)
 class WordDecomposition:
     """The closure of one conjunction word, split into its disjoint parts.
@@ -149,64 +198,31 @@ class WordDecomposition:
     word: ConjunctionWord
     mode: str
     axioms: frozenset
-    conjunctions: frozenset[ConjunctionWord]
+    conjunctions: ConjunctionSpace
     atoms: frozenset[FrozenSegment]
+
+    def __contains__(self, candidate: object) -> bool:
+        return candidate in self.axioms or candidate in self.atoms or candidate in self.conjunctions
 
     def members(self) -> frozenset:
         return self.axioms | self.conjunctions | self.atoms
 
     def cardinalities(self) -> dict[str, int]:
-        return {
-            "axioms": len(self.axioms),
-            "conjunctions": len(self.conjunctions),
-            "atoms": len(self.atoms),
-            "total": len(self.axioms) + len(self.conjunctions) + len(self.atoms),
-        }
-
-
-def _arrangements(
-    atoms: Iterable[FrozenSegment], mode: str
-) -> frozenset[ConjunctionWord]:
-    ordered = sorted(atoms, key=lambda a: a.sort_key)
-    arrange = combinations if mode == "canonical" else permutations
-    return frozenset(
-        ConjunctionWord(conjuncts)
-        for size in range(2, len(ordered) + 1)
-        for conjuncts in arrange(ordered, size)
-    )
-
-
-def _conjunction_count(atoms: int, mode: str) -> int:
-    """Closed-form conjunction count: 2^n - n - 1 canonical, and the sum of
-    n!/(n-k)! over k = 2..n permutational."""
-    if mode == "canonical":
-        return 2**atoms - atoms - 1
-    return sum(perm(atoms, k) for k in range(2, atoms + 1))
+        sizes = {part: len(getattr(self, part)) for part in ("axioms", "conjunctions", "atoms")}
+        return sizes | {"total": sum(sizes.values())}
 
 
 def decompose(
-    word: ConjunctionWord,
-    axioms: Iterable = (),
-    mode: str = "canonical",
+    word: ConjunctionWord, axioms: Iterable = (), mode: str = "canonical"
 ) -> WordDecomposition:
-    """Apply the word-level consequence operator to a single conjunction word.
-
-    Permutational mode lists every arrangement of every atom subset of size
-    two or more as a distinct conjunction; canonical mode lists one (the
-    ascending arrangement) per subset.
-    """
+    """Apply the word-level consequence operator to a single conjunction word;
+    no conjunction word is built until the conjunctions are listed."""
     if mode not in ("canonical", "permutational"):
         raise ValueError(f"mode must be canonical or permutational, got {mode!r}")
     atom_set = word.atoms
-    count = _conjunction_count(len(atom_set), mode)
-    if count > _WORD_LIMIT:
-        raise SizeLimit(
-            f"{mode} decomposition of {len(atom_set)} atoms has {count} "
-            f"conjunctions, over the limit of {_WORD_LIMIT}"
-        )
-    conjunctions = _arrangements(atom_set, mode)
+    conjunctions = ConjunctionSpace(atom_set, mode)
     axiom_set = frozenset(axioms)
-    overlap = (axiom_set & conjunctions) | (axiom_set & atom_set)
+    overlap = [a for a in axiom_set if a in atom_set or a in conjunctions]
     if overlap:
         raise AxiomCollision(
             f"{len(overlap)} axiom(s) collide with the word's atoms or conjunctions"
@@ -215,27 +231,10 @@ def decompose(
 
 
 def word_closure_contains(
-    word: ConjunctionWord,
-    candidate: object,
-    axioms: Iterable = (),
-    mode: str = "canonical",
+    word: ConjunctionWord, candidate: object, axioms: Iterable = (), mode: str = "canonical"
 ) -> bool:
-    """Membership in the word's closure without materializing it.
-
-    A candidate belongs when it is a supplied axiom, one of the word's atoms,
-    or a conjunction whose conjunct set is drawn from the atoms (canonically
-    arranged, in canonical mode).
-    """
-    if candidate in frozenset(axioms):
-        return True
-    atom_set = word.atoms
-    if isinstance(candidate, FrozenSegment):
-        return candidate in atom_set
-    if isinstance(candidate, ConjunctionWord):
-        if not candidate.atoms <= atom_set:
-            return False
-        return mode == "permutational" or candidate.is_canonical
-    return False
+    """Whether ``candidate`` is in the word's closure; nothing is enumerated."""
+    return candidate in decompose(word, axioms, mode)
 
 
 @dataclass(frozen=True)

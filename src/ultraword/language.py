@@ -57,7 +57,7 @@ class Word:
         if not self.symbols:
             raise ValueError("a word must have at least one symbol")
         for symbol in self.symbols:
-            if not symbol or any(ch.isspace() for ch in symbol):
+            if symbol.split() != [symbol]:
                 raise ValueError(f"bad alphabet symbol: {symbol!r}")
             if symbol == CONNECTIVE:
                 raise ValueError(

@@ -22,7 +22,8 @@ from ultraword import (
     word_closure_contains,
 )
 from ultraword import consequence
-from ultraword.consequence import AxiomViolation, _conjunction_count
+from ultraword.cli import main
+from ultraword.consequence import AxiomViolation
 
 CHAIN = LogicSystem.build("abc", [({"a"}, "b"), ({"a", "b"}, "c")])
 
@@ -56,6 +57,41 @@ def arrangements_by_extension(atoms, mode):
         words.update(ConjunctionWord(seq) for seq in grown if len(seq) >= 2)
         frontier = grown
     return frozenset(words)
+
+
+def worklist_closure(system, premises):
+    """Counter-based forward chaining: each rule counts its missing premises,
+    and each newly derived sentence counts down the rules that use it."""
+    missing = {rule: len(rule.premises) for rule in system.rules}
+    uses = {}
+    for rule in system.rules:
+        for premise in rule.premises:
+            uses.setdefault(premise, []).append(rule)
+    derived = set(premises)
+    pending = list(derived)
+    while pending:
+        for rule in uses.get(pending.pop(), ()):
+            missing[rule] -= 1
+            if not missing[rule] and rule.conclusion not in derived:
+                derived.add(rule.conclusion)
+                pending.append(rule.conclusion)
+    return derived
+
+
+def pass_by_pass_order(system, premises):
+    """Sweep the rules, sorted by conclusion then premises, until a sweep adds
+    nothing, recording each rule that adds its conclusion."""
+    rules = sorted(system.rules, key=lambda r: (r.conclusion, sorted(r.premises)))
+    derived, order = set(premises), []
+    added = True
+    while added:
+        added = False
+        for rule in rules:
+            if rule.premises <= derived and rule.conclusion not in derived:
+                derived.add(rule.conclusion)
+                order.append(rule)
+                added = True
+    return tuple(order)
 
 
 def naive_axiom_report(op, universe):
@@ -183,6 +219,15 @@ class TestClosure:
             big = small | extra
             assert closure(system, small).closure <= closure(system, big).closure
 
+    @given(hs.randoms(use_true_random=False))
+    def test_matches_worklist_and_pass_references(self, rng):
+        system = random_system(rng)
+        members = sorted(system.language)
+        premises = frozenset(rng.sample(members, rng.randint(0, len(members))))
+        result = closure(system, premises)
+        assert result.closure == worklist_closure(system, premises)
+        assert result.derivation_order == pass_by_pass_order(system, premises)
+
     def test_empty_premises_rejected_in_rule(self):
         with pytest.raises(ValueError):
             Rule(frozenset(), "a")
@@ -240,6 +285,8 @@ class TestDecompose:
             decompose(word, axioms={atom})
         with pytest.raises(AxiomCollision):
             decompose(word, axioms={word})
+        with pytest.raises(AxiomCollision):
+            word_closure_contains(word, atom, axioms={atom})
 
     @pytest.mark.parametrize("mode", ["canonical", "permutational"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -255,28 +302,52 @@ class TestDecompose:
     def test_closed_form_count(self, mode, n):
         word = build_conjunction_word([s.seg(k) for k in range(n)])
         words = decompose(word, mode=mode).conjunctions
-        assert _conjunction_count(n, mode) == len(words)
+        listed = list(words)
+        assert len(words) == len(listed) == len(set(listed))
+        sizes = [len(w.conjuncts) for w in listed]
+        assert sizes == sorted(sizes)
 
     @pytest.mark.parametrize("mode, n", [("permutational", 10), ("canonical", 20)])
-    def test_size_limit_before_enumeration(self, monkeypatch, mode, n):
-        def enumerate_words(*_):
-            raise AssertionError("decompose enumerated past its size limit")
+    def test_size_limit_before_enumeration(self, monkeypatch, capsys, tmp_path, mode, n):
+        count = {10: 9_864_090, 20: 1_048_555}[n]
+        atoms = [s.seg(k) for k in range(n)]
+        word = build_conjunction_word(atoms)
+        stray = build_conjunction_word([atoms[0], s.seg(n)])
+        spec = tmp_path / "spec.json"
+        spec.write_text(f'{{"q": 1, "K": 1, "m": {n - 1}}}')
 
-        monkeypatch.setattr(consequence, "_arrangements", enumerate_words)
-        word = build_conjunction_word([s.seg(k) for k in range(n)])
-        with pytest.raises(SizeLimit):
-            decompose(word, mode=mode)
-        with pytest.raises(ValueError):
-            decompose(word, mode=mode)
+        def no_words(*_):
+            raise AssertionError("a conjunction word was built past the size limit")
+
+        monkeypatch.setattr(consequence, "ConjunctionWord", no_words)
+        parts = decompose(word, mode=mode)
+        assert parts.cardinalities() == {
+            "axioms": 0, "conjunctions": count, "atoms": n, "total": count + n,
+        }
+        for listing in (lambda: iter(parts.conjunctions), lambda: list(parts.conjunctions),
+                        parts.members):
+            with pytest.raises(SizeLimit):
+                listing()
+        assert main(["decompose", "--spec", str(spec), "--n", "0", "--mode", mode]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and f"{count} conjunctions, over the limit" in err
+        monkeypatch.undo()
+        assert word in parts.conjunctions and word in parts
+        assert stray not in parts.conjunctions
+        assert word_closure_contains(word, word, mode=mode)
+        assert not word_closure_contains(word, stray, mode=mode)
 
     def test_largest_sizes_within_limit(self):
-        assert _conjunction_count(9, "permutational") <= consequence._WORD_LIMIT
-        assert _conjunction_count(19, "canonical") <= consequence._WORD_LIMIT
+        for mode, n in (("permutational", 9), ("canonical", 19)):
+            word = build_conjunction_word([s.seg(k) for k in range(n)])
+            assert len(decompose(word, mode=mode).conjunctions) <= consequence._WORD_LIMIT
 
     def test_bad_mode(self):
         word = build_conjunction_word([s.seg(0), s.seg(1)])
         with pytest.raises(ValueError):
             decompose(word, mode="other")
+        with pytest.raises(ValueError):
+            word_closure_contains(word, word, mode="other")
 
     @pytest.mark.parametrize("mode", ["canonical", "permutational"])
     def test_membership_agrees_with_materialization(self, mode):
@@ -297,6 +368,7 @@ class TestDecompose:
         word = build_conjunction_word(atoms)
         parts = decompose(word, mode=mode)
         assert parts.conjunctions == arrangements_by_extension(atoms, mode)
+        assert hash(parts.conjunctions) == hash(frozenset(parts.conjunctions))
         assert parts.atoms == frozenset(atoms)
 
     def test_membership_respects_arrangement_rules(self):

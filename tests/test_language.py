@@ -77,8 +77,9 @@ class TestWord:
             Word(("a", CONNECTIVE))
 
     def test_whitespace_symbols_rejected(self):
-        with pytest.raises(ValueError):
-            Word(("a b",))
+        for symbol in ("a b", "", " a", "a\t", "a\u00a0b", "\u2003"):
+            with pytest.raises(ValueError):
+                Word((symbol,))
 
     def test_of_splits_text(self):
         assert Word.of("go north now").symbols == ("go", "north", "now")
